@@ -7,15 +7,16 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test verify bench bench-update bench-suite bench-full perf perf-parallel perf-update fuzz fuzz-quick docs-check trace-smoke serve-smoke telemetry-smoke experiments examples loc clean
+.PHONY: test verify bench-suite bench-full perf fuzz fuzz-quick docs-check trace-smoke serve-smoke telemetry-smoke experiments examples loc clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
 
 # The default local verification path: the tier-1 suite, the docs
-# linter, the end-to-end tracing and serving smoke tests and the host
-# wall-clock gates (serial, then sharded across all host CPUs).
-verify: test docs-check trace-smoke serve-smoke telemetry-smoke perf perf-parallel
+# linter, the end-to-end tracing and serving smoke tests, and the host
+# benchmark's tiny-size golden-digest check (bench/golden.json).
+verify: test docs-check trace-smoke serve-smoke telemetry-smoke
+	$(PYTHON) -m pytest bench/ -q
 
 # Differential fuzzing: random-but-seeded syscall workloads run against
 # both the kernel and the reference oracle (src/repro/check/), with the
@@ -29,38 +30,11 @@ fuzz:
 fuzz-quick:
 	$(PYTHON) -m repro.check --runs 200 --ops 25 --selftest --out results/fuzz
 
-# The benchmark-regression gates: the paper suite measures the
-# fig4/fig5/fig7 hot paths against benchmarks/BENCH_baseline.json
-# (results/BENCH_results.json); the serve suite races the KV placement
-# policies against benchmarks/BENCH_serve_baseline.json
-# (results/BENCH_serve.json). Either regressing beyond tolerance exits
-# non-zero. See docs/observability.md §5 and docs/serving.md.
-bench:
-	$(PYTHON) -m repro.experiments.cli bench --out results
-	$(PYTHON) -m repro.experiments.cli bench --suite serve --out results
-
-# Re-baseline after an intentional, reviewed performance change.
-bench-update:
-	$(PYTHON) -m repro.experiments.cli bench --out results --update-baseline
-	$(PYTHON) -m repro.experiments.cli bench --suite serve --out results --update-baseline
-
-# The host wall-clock gate: times the fig4/fig5/fig7 sweeps and a
-# fuzzer corpus on the host, writes results/BENCH_wall.json, appends
-# one line to the run history (results/BENCH_wall_history.jsonl), and
-# exits non-zero if any scenario runs more than 25% slower than
-# benchmarks/BENCH_WALL_baseline.json. See docs/performance.md.
+# The host-speed benchmark: seven workloads, end-to-end and per-layer
+# metrics, every simulated output checked against bench/golden.json.
+# Writes its report under bench/out/. See bench/README.md.
 perf:
-	$(PYTHON) tools/perf_bench.py --out results --append-history
-
-# The sharded wall-clock gate: same scenarios, but the fig4/fig5/fig7
-# sweeps fan out across every host CPU through the sharded sweep
-# runner (repro/experiments/parallel.py), one timed iteration each.
-perf-parallel:
-	$(PYTHON) tools/perf_bench.py --out results --quick --workers auto
-
-# Re-pin the wall-clock baseline (new hardware, or a reviewed change).
-perf-update:
-	$(PYTHON) tools/perf_bench.py --out results --update-baseline
+	$(PYTHON) bench/run.py
 
 # The full pytest-benchmark suite (paper-shape assertions).
 bench-suite:

@@ -18,8 +18,6 @@ Structured artifacts (schemas in ``docs/observability.md``)::
     repro-experiments fig4 --timeseries out/   # telemetry counter series +
                                                # Chrome counter tracks
     repro-experiments introspect           # canned workload + /proc-style views
-    repro-experiments bench                # regression gate -> BENCH_results.json
-    repro-experiments bench --suite serve  # serving gate -> BENCH_serve.json
     repro-experiments serve                # KV serving policy race (docs/serving.md)
 """
 
@@ -462,94 +460,17 @@ def _maybe_profile(args, name: str, fn: Callable[[], object]):
     return result
 
 
-def _fmt_us(value, width: int = 8) -> str:
-    """One latency cell: a number, or ``-`` below the quantile floor."""
-    return f"{value:>{width}.1f}" if value is not None else f"{'-':>{width}}"
-
-
-def _run_bench_gate(args) -> int:
-    """``repro-experiments bench``: measure, write, compare, gate."""
-    from ..obs import bench
-
-    start = time.time()
-    if args.suite == "serve":
-        baseline_path = args.baseline or bench.SERVE_BASELINE
-        metrics, latency = bench.run_serve_bench()
-        results_name = bench.SERVE_RESULTS_FILENAME
-    else:
-        baseline_path = args.baseline or bench.DEFAULT_BASELINE
-        metrics, latency = bench.run_bench(), None
-        results_name = bench.RESULTS_FILENAME
-    report = bench.bench_report(
-        metrics, baseline_path, args.tolerance,
-        wall_time_s=round(time.time() - start, 3),
-    )
-    if args.suite == "serve":
-        report["serve_latency_us"] = latency
-    else:
-        report["phase_latency_us"] = bench.phase_latency_quantiles()
-    os.makedirs(args.out, exist_ok=True)
-    results_path = os.path.join(args.out, results_name)
-    with open(results_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    if args.suite == "serve":
-        print("  request latency (per policy, informational):")
-        for name, q in report["serve_latency_us"].items():
-            print(
-                f"  {name:<30} p50 {_fmt_us(q['p50_us'])}  "
-                f"p95 {_fmt_us(q['p95_us'])}  p99 {_fmt_us(q['p99_us'])} us  "
-                f"({q['count']} requests)"
-            )
-    else:
-        print("  phase latency (lazy migration, informational):")
-        for name, q in report["phase_latency_us"].items():
-            print(
-                f"  {name:<30} p50 {_fmt_us(q['p50_us'])}  "
-                f"p95 {_fmt_us(q['p95_us'])}  p99 {_fmt_us(q['p99_us'])} us  "
-                f"({q['count']} spans)"
-            )
-    if report["comparison"] is None:
-        print(f"bench: no baseline at {baseline_path!r} — wrote results only")
-        for name, value in report["metrics"].items():
-            print(f"  {name:<40} {value:>10.1f}")
-    else:
-        for name, verdict in report["comparison"].items():
-            value = "-" if verdict["value"] is None else f"{verdict['value']:10.1f}"
-            base = "-" if verdict["baseline"] is None else f"{verdict['baseline']:10.1f}"
-            delta = f"{verdict['delta_pct']:+7.2f}%" if "delta_pct" in verdict else "        "
-            print(f"  {name:<40} {value} vs {base} {delta}  {verdict['status']}")
-    print(f"[bench results: {results_path}]", file=sys.stderr)
-    if args.update_baseline:
-        baseline_doc = {"schema": bench.SCHEMA, "metrics": report["metrics"]}
-        os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_doc, fh, indent=2)
-        print(f"[baseline updated: {baseline_path}]", file=sys.stderr)
-        return 0
-    if report["failures"]:
-        print(
-            f"bench: FAIL — {len(report['failures'])} metric(s) regressed beyond "
-            f"{args.tolerance:.1%}: {', '.join(report['failures'])}",
-            file=sys.stderr,
-        )
-        return 1
-    print("bench: OK", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser (also introspected by tools/docs_check.py)."""
-    from ..obs import bench as _bench_defaults
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures on the simulated machine.",
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RUNNERS) + ["all", "bench", "introspect"],
-        help="which artifact to regenerate ('bench' runs the regression "
-        "gate, 'introspect' renders the /proc-style kernel views)",
+        choices=sorted(_RUNNERS) + ["all", "introspect"],
+        help="which artifact to regenerate ('introspect' renders the "
+        "/proc-style kernel views)",
     )
     parser.add_argument(
         "--full",
@@ -651,41 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of placement policies to race "
         f"(default: all of {', '.join(fig_serve.POLICIES)})",
     )
-    gate = parser.add_argument_group("bench (regression gate)")
-    gate.add_argument(
-        "--suite",
-        choices=("paper", "serve"),
-        default="paper",
-        help="which bench suite to gate: the paper's fig4/fig5/fig7 hot "
-        "paths, or the KV serving policy race (default: paper)",
-    )
-    gate.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline metrics file to compare against (default: "
-        f"{_bench_defaults.DEFAULT_BASELINE}, or "
-        f"{_bench_defaults.SERVE_BASELINE} with --suite serve)",
-    )
-    gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=_bench_defaults.DEFAULT_TOLERANCE,
-        metavar="FRAC",
-        help="allowed relative drop below baseline before failing "
-        f"(default: {_bench_defaults.DEFAULT_TOLERANCE})",
-    )
-    gate.add_argument(
-        "--out",
-        metavar="DIR",
-        default=".",
-        help=f"directory for {_bench_defaults.RESULTS_FILENAME} (default: .)",
-    )
-    gate.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run's metrics and exit 0",
-    )
     return parser
 
 
@@ -786,8 +672,6 @@ def _run_parallel(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "bench":
-        return _maybe_profile(args, "bench", lambda: _run_bench_gate(args))
     if args.experiment == "introspect":
         return _maybe_profile(args, "introspect", lambda: _run_introspect(args))
     if args.workers is not None:

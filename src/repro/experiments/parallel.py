@@ -19,8 +19,7 @@ Determinism contract (pinned by ``tests/test_parallel_runner.py``):
   merged with :func:`repro.obs.metrics.merge_snapshots` in point order.
 
 ``--workers N`` on the CLI routes the four sweep experiments through
-:func:`run_sweep`; ``tools/perf_bench.py --workers`` uses the same
-entry points for the wall-clock gate.
+:func:`run_sweep`.
 """
 
 from __future__ import annotations

@@ -57,28 +57,19 @@ def _nt_throughput(machine: Machine, npages: int) -> float:
     return mb_per_s(nbytes, elapsed)
 
 
-def run_machines(
-    page_counts: Optional[Sequence[int]] = None,
-    machines: Optional[dict] = None,
-) -> ExperimentResult:
-    """Kernel next-touch throughput across machine shapes.
-
-    ``machines`` overrides the default :data:`MACHINES` table with the
-    same ``{name: factory(cost)}`` shape — e.g. a single 64-node entry
-    for the wall-clock gate's large-fabric scenario.
-    """
+def run_machines(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
+    """Kernel next-touch throughput across machine shapes."""
     counts = list(page_counts) if page_counts else [16, 256, 4096]
-    shapes = machines if machines is not None else MACHINES
     cost = opteron_8347he()
     result = ExperimentResult(
         experiment_id="whatif-machines",
         title="Beyond the paper: kernel next-touch throughput by machine shape (MB/s)",
         x_label="pages",
         xs=counts,
-        series={name: [] for name in shapes},
+        series={name: [] for name in MACHINES},
     )
     for n in counts:
-        for name, factory in shapes.items():
+        for name, factory in MACHINES.items():
             result.series[name].append(_nt_throughput(factory(cost), n))
     result.notes.append(
         "the mechanism's throughput is shape-independent (it is bound by "

@@ -1,4 +1,4 @@
-"""Structured observability: metrics, manifests, traces, bench gate.
+"""Structured observability: metrics, manifests, traces, tracepoints.
 
 Everything a run produces beyond its ASCII tables lives here:
 
@@ -29,10 +29,7 @@ Everything a run produces beyond its ASCII tables lives here:
   as JSON and Chrome-trace counter tracks;
 * :mod:`repro.obs.procfs` — ``/proc``-style views (``numa_maps``,
   ``vmstat``, ``pagetypeinfo``, placement heatmap) of a live kernel
-  (imported lazily: it pulls in kernel modules);
-* :mod:`repro.obs.bench` — the benchmark-regression gate behind
-  ``repro-experiments bench`` (imported lazily: it pulls in the
-  experiment modules).
+  (imported lazily: it pulls in kernel modules).
 
 Schemas for every artifact are documented in ``docs/observability.md``.
 """

@@ -30,15 +30,15 @@ def test_check_dotted_rejects_broken_references(docs_check):
 
 
 def test_check_path(docs_check):
-    assert docs_check.check_path("src/repro/obs/bench.py")
+    assert docs_check.check_path("src/repro/obs/manifest.py")
     assert docs_check.check_path("repro/report.py")  # src/ prefix optional
     assert not docs_check.check_path("src/repro/obs/missing.py")
 
 
 def test_cli_vocabulary_contains_new_surface(docs_check):
     choices, flags = docs_check.cli_vocabulary()
-    assert {"fig4", "all", "bench"} <= choices
-    assert {"--csv", "--json", "--trace", "--tolerance", "--update-baseline",
+    assert {"fig4", "all", "introspect"} <= choices
+    assert {"--csv", "--json", "--trace", "--workers", "--timeseries",
             "--check"} <= flags
 
 

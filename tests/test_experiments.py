@@ -47,6 +47,38 @@ def test_fig4_is_deterministic():
     assert a.series == b.series
 
 
+def test_fig4_fig5_fig7_match_committed_values():
+    """The headline MB/s at 256 and 1024 pages, pinned to the last bit.
+
+    The simulation is deterministic, so any change to these figures is
+    a behaviour change: update the constants only with a reviewed
+    reason.
+    """
+    fig4 = fig4_throughput.run([256, 1024])
+    fig5 = fig5_nexttouch.run([256, 1024])
+    fig7 = fig7_scalability.run([1024], thread_counts=(1, 4))
+    at = {
+        name: dict(zip(r.xs, r.series[name]))
+        for r in (fig4, fig5, fig7)
+        for name in r.series
+    }
+    assert at["memcpy"][1024] == 1798.4563725135206
+    assert at["migrate_pages"][1024] == 707.8391981509076
+    assert at["move_pages"][256] == 544.6084297300886
+    assert at["move_pages"][1024] == 580.8075436917297
+    assert at["move_pages (no patch)"][1024] == 148.77098675190027
+    assert at["User Next-touch"][1024] == 571.7474399730512
+    assert at["Kernel Next-touch"][256] == 778.9677749865084
+    assert at["Kernel Next-touch"][1024] == 779.7062925062983
+    assert at["Sync - 1 Thread"][1024] == 580.8075436917297
+    assert at["Sync - 4 Threads"][1024] == 893.1357765703691
+    assert at["Lazy - 4 Threads"][1024] == 1111.8787449551978
+    # The headline paper shapes hold even at these sizes.
+    assert at["memcpy"][1024] > at["move_pages"][1024]
+    assert at["Kernel Next-touch"][1024] > at["User Next-touch"][1024]
+    assert at["Sync - 4 Threads"][1024] > at["Sync - 1 Thread"][1024]
+
+
 def test_fig5_structure():
     r = fig5_nexttouch.run([4, 16])
     assert set(r.series) == set(fig5_nexttouch.SERIES)
@@ -233,8 +265,11 @@ def test_cli_runs_one_experiment(capsys):
 
 
 def test_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
-        cli_main(["fig99"])
+    # "bench" was a subcommand once; bench/run.py replaced it.
+    for name in ("fig99", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([name])
+        assert exc.value.code == 2
 
 
 def test_whatif_machines_structure():

@@ -2,13 +2,14 @@
 """Docs linter: fail when docs reference code that does not exist.
 
 Scans the user-facing Markdown (``docs/*.md``, ``README.md``,
-``EXPERIMENTS.md``, ``CHANGES.md``) for three kinds of reference and
-verifies each against the tree:
+``EXPERIMENTS.md``) for four kinds of reference and verifies each
+against the tree. ``CHANGES.md`` is history: its entries name files,
+flags and targets as they were, so it is not linted.
 
 1. dotted names — ``repro.obs.metrics.MetricsRegistry`` must resolve:
    the longest importable module prefix is imported, remaining
    components looked up with ``getattr``;
-2. file paths — ``src/repro/obs/bench.py`` (or ``repro/...``) must
+2. file paths — ``src/repro/obs/manifest.py`` (or ``repro/...``) must
    exist;
 3. CLI usage — on lines mentioning ``repro-experiments``, the
    experiment name must be a real CLI choice and every ``--flag`` must
@@ -49,7 +50,6 @@ sys.path.insert(0, str(REPO / "src"))
 DOC_FILES = sorted((REPO / "docs").glob("*.md")) + [
     REPO / "README.md",
     REPO / "EXPERIMENTS.md",
-    REPO / "CHANGES.md",
 ]
 
 # Docs the manual promises: the glob above only sees files that exist,
@@ -68,7 +68,7 @@ DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z_0-9]*)+(/v\d+)?")
 PATH_RE = re.compile(r"\b(?:src/)?repro/[A-Za-z_0-9/]+\.py\b")
 CLI_LINE_RE = re.compile(r"repro-experiments\s+([A-Za-z_0-9-]+)")
 FLAG_RE = re.compile(r"--[a-z][a-z-]*")
-# Only backticked invocations count — `make bench` is a promise, while
+# Only backticked invocations count — `make perf` is a promise, while
 # "make sure" in prose is not.
 MAKE_RE = re.compile(r"`make ([a-z][a-z0-9_-]*)`")
 
