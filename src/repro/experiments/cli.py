@@ -28,17 +28,16 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import Callable
 
 from . import (
     blas1_check,
-    fig4_throughput,
-    fig5_nexttouch,
     fig6_breakdown,
-    fig7_scalability,
     fig8_matmul,
     fig12_flows,
     fig_serve,
+    parallel,
     table1_lu,
 )
 from .common import default_page_counts
@@ -48,26 +47,44 @@ __all__ = ["main", "build_parser"]
 _QUICK_PAGES = [4, 16, 64, 256, 1024, 4096]
 
 
-def _run_fig4(args):
-    counts = None if args.full else _QUICK_PAGES
-    return [fig4_throughput.run(counts)]
+def _page_kwargs(args) -> dict:
+    return {"page_counts": None if args.full else _QUICK_PAGES}
 
 
-def _run_fig5(args):
-    counts = None if args.full else _QUICK_PAGES
-    return [fig5_nexttouch.run(counts)]
+def _fig7_kwargs(args) -> dict:
+    counts = (
+        default_page_counts(64, 32768) if args.full else [64, 256, 1024, 4096, 16384]
+    )
+    return {"page_counts": counts}
+
+
+def _serve_kwargs(args) -> dict:
+    return {
+        "full": args.full,
+        "tenants": args.tenants,
+        "requests": args.requests,
+        "slo_us": args.slo_us,
+        "policies": args.policies,
+    }
+
+
+#: CLI flags -> ``run()`` keywords of each shardable sweep, shared by
+#: the serial runner and ``--workers`` (:func:`parallel.run_sweep`).
+_SWEEP_KWARGS: dict[str, Callable[..., dict]] = {
+    "fig4": _page_kwargs,
+    "fig5": _page_kwargs,
+    "fig7": _fig7_kwargs,
+    "serve": _serve_kwargs,
+}
+
+
+def _run_sweep(name: str, args):
+    return [parallel.SWEEP_MODULES[name].run(**_SWEEP_KWARGS[name](args))]
 
 
 def _run_fig6(args):
     counts = None if args.full else _QUICK_PAGES
     return [fig6_breakdown.run_user(counts), fig6_breakdown.run_kernel(counts)]
-
-
-def _run_fig7(args):
-    counts = (
-        default_page_counts(64, 32768) if args.full else [64, 256, 1024, 4096, 16384]
-    )
-    return [fig7_scalability.run(counts)]
 
 
 def _run_fig8(args):
@@ -77,18 +94,6 @@ def _run_fig8(args):
 
 def _run_table1(args):
     return [table1_lu.run(full=args.full)]
-
-
-def _run_serve(args):
-    return [
-        fig_serve.run(
-            args.full,
-            tenants=args.tenants,
-            requests=args.requests,
-            slo_us=args.slo_us,
-            policies=args.policies,
-        )
-    ]
 
 
 class _TextResult:
@@ -136,17 +141,14 @@ def _run_blas1(args):
 
 _RUNNERS: dict[str, Callable[..., list]] = {
     "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
     "fig6": _run_fig6,
-    "fig7": _run_fig7,
     "fig8": _run_fig8,
     "table1": _run_table1,
     "blas1": _run_blas1,
     "flows": _run_flows,
     "calibration": _run_calibration,
-    "serve": _run_serve,
     "whatif": _run_whatif,
+    **{name: partial(_run_sweep, name) for name in _SWEEP_KWARGS},
 }
 
 
@@ -207,18 +209,17 @@ def _write_observation(
             extra_fn = getattr(result, "manifest_extra", None)
             if extra_fn is not None:
                 extra.update(extra_fn())
+        metrics = obs.merged_metrics()
         manifest = run_manifest(
             obs.systems,
             experiment=name,
-            tracers=obs.tracers,
+            metrics=metrics,
             wall_time_s=wall_time_s,
             argv=list(sys.argv[1:]),
             extra=extra or None,
         )
-        manifest_path = os.path.join(args.json, f"{name}.manifest.json")
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-        metrics = obs.merged_metrics()
+        _write_json(args.json, name, "manifest", manifest)
+        metrics = dict(metrics)  # the entries below go to the metrics file only
         if invariants is not None:
             metrics["check.invariant_violations"] = {
                 "type": "counter",
@@ -230,11 +231,7 @@ def _write_observation(
             registry = MetricsRegistry()
             profile.publish(registry)
             metrics.update(registry.snapshot())
-        metrics_path = os.path.join(args.json, f"{name}.metrics.json")
-        with open(metrics_path, "w") as fh:
-            json.dump(metrics, fh, indent=2)
-        print(f"[manifest: {manifest_path}]", file=sys.stderr)
-        print(f"[metrics: {metrics_path}]", file=sys.stderr)
+        _write_json(args.json, name, "metrics", metrics)
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
         events = obs.chrome_trace()
@@ -246,6 +243,14 @@ def _write_observation(
         print(f"[trace: {trace_path}]", file=sys.stderr)
     if args.timeseries is not None:
         _write_timeseries(obs, name, args.timeseries)
+
+
+def _write_json(outdir: str, name: str, kind: str, doc: dict) -> None:
+    """Save ``<outdir>/<name>.<kind>.json`` (a manifest or metrics file)."""
+    path = os.path.join(outdir, f"{name}.{kind}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+    print(f"[{kind}: {path}]", file=sys.stderr)
 
 
 def _write_timeseries(obs, name: str, outdir: str) -> None:
@@ -575,107 +580,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_kwargs(name: str, args) -> dict:
-    """Translate CLI flags into :func:`parallel.run_sweep` kwargs,
-    mirroring the serial ``_run_*`` count selection exactly."""
-    if name == "serve":
-        return {
-            "serve_opts": {
-                "full": args.full,
-                "tenants": args.tenants,
-                "requests": args.requests,
-                "slo_us": args.slo_us,
-                "policies": args.policies,
-            }
-        }
-    if name == "fig7":
-        counts = (
-            default_page_counts(64, 32768)
-            if args.full
-            else [64, 256, 1024, 4096, 16384]
-        )
-    else:
-        counts = None if args.full else _QUICK_PAGES
-    return {"counts": counts}
-
-
-def _run_parallel(args) -> int:
-    """``--workers``: shard the sweep experiments across processes."""
-    from . import parallel
-
-    incompatible = [
-        flag
-        for flag, value in (
-            ("--trace", args.trace),
-            ("--tracepoints", args.tracepoints),
-            ("--timeseries", args.timeseries),
-            ("--profile", args.profile),
-            ("--check", args.check),
-        )
-        if value
-    ]
-    if incompatible:
-        print(
-            f"error: --workers cannot be combined with {', '.join(incompatible)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        workers = parallel.resolve_workers(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        start = time.time()
-        if name not in parallel.PARALLEL_EXPERIMENTS:
-            print(
-                f"[{name}: not a shardable sweep, running serially]",
-                file=sys.stderr,
-            )
-            results, outcome = _RUNNERS[name](args), None
-        else:
-            outcome = parallel.run_sweep(
-                name,
-                workers=workers,
-                collect=args.json is not None,
-                **_sweep_kwargs(name, args),
-            )
-            results = outcome.results
-        for result in results:
-            print(result.render())
-            print()
-            if args.csv is not None and hasattr(result, "save_csv"):
-                path = result.save_csv(args.csv)
-                print(f"[csv: {path}]", file=sys.stderr)
-            if args.json is not None and hasattr(result, "save_json"):
-                path = result.save_json(args.json)
-                print(f"[json: {path}]", file=sys.stderr)
-        if outcome is not None and args.json is not None:
-            os.makedirs(args.json, exist_ok=True)
-            manifest_path = os.path.join(args.json, f"{name}.manifest.json")
-            with open(manifest_path, "w") as fh:
-                json.dump(outcome.manifest, fh, indent=2)
-            metrics_path = os.path.join(args.json, f"{name}.metrics.json")
-            with open(metrics_path, "w") as fh:
-                json.dump(outcome.metrics, fh, indent=2)
-            print(f"[manifest: {manifest_path}]", file=sys.stderr)
-            print(f"[metrics: {metrics_path}]", file=sys.stderr)
-        wall = time.time() - start
-        print(
-            f"[{name} regenerated in {wall:.1f}s wall; workers={workers}]",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.experiment == "introspect":
         return _maybe_profile(args, "introspect", lambda: _run_introspect(args))
+    workers = None
     if args.workers is not None:
-        return _run_parallel(args)
+        incompatible = [
+            flag
+            for flag, value in (
+                ("--trace", args.trace),
+                ("--tracepoints", args.tracepoints),
+                ("--timeseries", args.timeseries),
+                ("--profile", args.profile),
+                ("--check", args.check),
+            )
+            if value
+        ]
+        if incompatible:
+            print(
+                f"error: --workers cannot be combined with {', '.join(incompatible)}",
+                file=sys.stderr,
+            )
+            return 2
+        try:
+            workers = parallel.resolve_workers(args.workers)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
     observing = (
         args.json is not None
@@ -687,8 +620,20 @@ def main(argv: list[str] | None = None) -> int:
     broken = 0
     for name in names:
         start = time.time()
-        recorder = None
-        if observing:
+        obs = recorder = outcome = None
+        sharded = workers is not None and name in _SWEEP_KWARGS
+        if workers is not None and not sharded:
+            print(f"[{name}: not a shardable sweep, running serially]", file=sys.stderr)
+        if sharded:
+            # Each point runs under its own observe() in its worker.
+            outcome = parallel.run_sweep(
+                name,
+                workers=workers,
+                collect=args.json is not None,
+                **_SWEEP_KWARGS[name](args),
+            )
+            results = outcome.results
+        elif observing:
             from ..obs import observe
 
             with observe() as obs:
@@ -704,9 +649,7 @@ def main(argv: list[str] | None = None) -> int:
                         args, name, lambda: _RUNNERS[name](args)
                     )
         else:
-            obs, results = None, _maybe_profile(
-                args, name, lambda: _RUNNERS[name](args)
-            )
+            results = _maybe_profile(args, name, lambda: _RUNNERS[name](args))
         for result in results:
             print(result.render())
             print()
@@ -731,7 +674,12 @@ def main(argv: list[str] | None = None) -> int:
                 recorder=recorder,
                 results=results,
             )
-        print(f"[{name} regenerated in {wall:.1f}s wall]", file=sys.stderr)
+        if outcome is not None and args.json is not None:
+            os.makedirs(args.json, exist_ok=True)
+            _write_json(args.json, name, "manifest", outcome.manifest)
+            _write_json(args.json, name, "metrics", outcome.metrics)
+        shards = f"; workers={workers}" if sharded else ""
+        print(f"[{name} regenerated in {wall:.1f}s wall{shards}]", file=sys.stderr)
     return 1 if broken else 0
 
 

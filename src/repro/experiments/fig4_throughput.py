@@ -20,7 +20,7 @@ from ..kernel.vma import PROT_RW
 from ..util.units import PAGE_SIZE, mb_per_s
 from .common import ExperimentResult, default_page_counts, fresh_system, run_thread
 
-__all__ = ["run", "SERIES"]
+__all__ = ["run", "measure_point", "SERIES"]
 
 SERIES = ("memcpy", "migrate_pages", "move_pages", "move_pages (no patch)")
 
@@ -73,8 +73,23 @@ def _measure_migrate_pages(npages: int) -> float:
     return run_thread(system, body, core=0)
 
 
-def run(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
-    """Regenerate Figure 4. Throughputs in MB/s per page count."""
+def measure_point(npages: int) -> tuple[float, ...]:
+    """One x of Figure 4: each series' throughput (MB/s), in ``SERIES`` order."""
+    nbytes = npages * PAGE_SIZE
+    return (
+        mb_per_s(nbytes, _measure_memcpy(npages)),
+        mb_per_s(nbytes, _measure_migrate_pages(npages)),
+        mb_per_s(nbytes, _measure_move_pages(npages, True)),
+        mb_per_s(nbytes, _measure_move_pages(npages, False)),
+    )
+
+
+def run(page_counts: Optional[Sequence[int]] = None, *, map_fn=map) -> ExperimentResult:
+    """Regenerate Figure 4. Throughputs in MB/s per page count.
+
+    ``map_fn`` maps :func:`measure_point` over the page counts in order;
+    :func:`repro.experiments.parallel.run_sweep` passes a process pool's.
+    """
     counts = list(page_counts) if page_counts else default_page_counts(1, 16384)
     result = ExperimentResult(
         experiment_id="fig4",
@@ -83,14 +98,9 @@ def run(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
         xs=counts,
         series={name: [] for name in SERIES},
     )
-    for n in counts:
-        nbytes = n * PAGE_SIZE
-        result.series["memcpy"].append(mb_per_s(nbytes, _measure_memcpy(n)))
-        result.series["migrate_pages"].append(mb_per_s(nbytes, _measure_migrate_pages(n)))
-        result.series["move_pages"].append(mb_per_s(nbytes, _measure_move_pages(n, True)))
-        result.series["move_pages (no patch)"].append(
-            mb_per_s(nbytes, _measure_move_pages(n, False))
-        )
+    for values in map_fn(measure_point, counts):
+        for name, value in zip(SERIES, values):
+            result.series[name].append(value)
     result.notes.append(
         "paper targets: memcpy ~1800 MB/s, migrate_pages ~780 MB/s, "
         "move_pages ~600 MB/s flat, no-patch collapsing past ~1k pages"

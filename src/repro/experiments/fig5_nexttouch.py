@@ -18,7 +18,7 @@ from ..nexttouch.user import UserNextTouch
 from ..util.units import PAGE_SIZE, mb_per_s
 from .common import ExperimentResult, default_page_counts, fresh_system, run_thread
 
-__all__ = ["run", "SERIES", "measure_user_nt", "measure_kernel_nt"]
+__all__ = ["run", "SERIES", "measure_point", "measure_user_nt", "measure_kernel_nt"]
 
 SERIES = ("User Next-touch (no move pages patch)", "User Next-touch", "Kernel Next-touch")
 
@@ -76,8 +76,22 @@ def measure_kernel_nt(npages: int, *, batch: int = 1, system=None) -> float:
     return run_thread(system, toucher, core=4, process=proc)
 
 
-def run(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
-    """Regenerate Figure 5. Throughputs in MB/s per page count."""
+def measure_point(npages: int) -> tuple[float, ...]:
+    """One x of Figure 5: each series' throughput (MB/s), in ``SERIES`` order."""
+    nbytes = npages * PAGE_SIZE
+    return (
+        mb_per_s(nbytes, measure_user_nt(npages, patched=False)),
+        mb_per_s(nbytes, measure_user_nt(npages, patched=True)),
+        mb_per_s(nbytes, measure_kernel_nt(npages)),
+    )
+
+
+def run(page_counts: Optional[Sequence[int]] = None, *, map_fn=map) -> ExperimentResult:
+    """Regenerate Figure 5. Throughputs in MB/s per page count.
+
+    ``map_fn`` maps :func:`measure_point` over the page counts in order;
+    :func:`repro.experiments.parallel.run_sweep` passes a process pool's.
+    """
     counts = list(page_counts) if page_counts else default_page_counts(4, 4096)
     result = ExperimentResult(
         experiment_id="fig5",
@@ -86,11 +100,9 @@ def run(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
         xs=counts,
         series={name: [] for name in SERIES},
     )
-    for n in counts:
-        nbytes = n * PAGE_SIZE
-        result.series[SERIES[0]].append(mb_per_s(nbytes, measure_user_nt(n, patched=False)))
-        result.series[SERIES[1]].append(mb_per_s(nbytes, measure_user_nt(n, patched=True)))
-        result.series[SERIES[2]].append(mb_per_s(nbytes, measure_kernel_nt(n)))
+    for values in map_fn(measure_point, counts):
+        for name, value in zip(SERIES, values):
+            result.series[name].append(value)
     result.notes.append(
         "paper targets: kernel NT ~800 MB/s from small sizes; user NT "
         "climbing to ~600 MB/s (move_pages-bound); no-patch collapsing"

@@ -16,6 +16,7 @@ around 1.3 GB/s.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from ..kernel.mempolicy import MemPolicy
@@ -24,7 +25,7 @@ from ..kernel.vma import PROT_RW
 from ..util.units import PAGE_SIZE, mb_per_s
 from .common import ExperimentResult, default_page_counts, fresh_system, run_thread
 
-__all__ = ["run", "measure_parallel_migration"]
+__all__ = ["run", "measure_point", "measure_parallel_migration"]
 
 _SRC_NODE, _DST_NODE = 0, 1
 _PROBE = 64
@@ -90,11 +91,30 @@ def measure_parallel_migration(
     return system.now - t0
 
 
+def measure_point(
+    npages: int, thread_counts: Sequence[int] = (1, 2, 3, 4)
+) -> tuple[float, ...]:
+    """One x of Figure 7: aggregate throughput (MB/s), sync then lazy,
+    each over ``thread_counts`` (the series order of :func:`run`)."""
+    nbytes = npages * PAGE_SIZE
+    return tuple(
+        mb_per_s(nbytes, measure_parallel_migration(npages, k, strategy))
+        for strategy in ("sync", "lazy")
+        for k in thread_counts
+    )
+
+
 def run(
     page_counts: Optional[Sequence[int]] = None,
     thread_counts: Sequence[int] = (1, 2, 3, 4),
+    *,
+    map_fn=map,
 ) -> ExperimentResult:
-    """Regenerate Figure 7. Aggregate throughput (MB/s) per series."""
+    """Regenerate Figure 7. Aggregate throughput (MB/s) per series.
+
+    ``map_fn`` maps :func:`measure_point` over the page counts in order;
+    :func:`repro.experiments.parallel.run_sweep` passes a process pool's.
+    """
     counts = list(page_counts) if page_counts else default_page_counts(64, 32768)
     series_names = [f"Sync - {k} Thread{'s' if k > 1 else ''}" for k in thread_counts]
     series_names += [f"Lazy - {k} Thread{'s' if k > 1 else ''}" for k in thread_counts]
@@ -105,18 +125,10 @@ def run(
         xs=counts,
         series={name: [] for name in series_names},
     )
-    for n in counts:
-        nbytes = n * PAGE_SIZE
-        for k in thread_counts:
-            elapsed = measure_parallel_migration(n, k, "sync")
-            result.series[f"Sync - {k} Thread{'s' if k > 1 else ''}"].append(
-                mb_per_s(nbytes, elapsed)
-            )
-        for k in thread_counts:
-            elapsed = measure_parallel_migration(n, k, "lazy")
-            result.series[f"Lazy - {k} Thread{'s' if k > 1 else ''}"].append(
-                mb_per_s(nbytes, elapsed)
-            )
+    point = partial(measure_point, thread_counts=thread_counts)
+    for values in map_fn(point, counts):
+        for name, value in zip(series_names, values):
+            result.series[name].append(value)
     result.notes.append(
         "paper targets: flat below ~1 MiB; sync +50-60% at 4 threads; "
         "lazy slightly better, peaking ~1.3 GB/s"

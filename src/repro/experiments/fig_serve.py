@@ -25,6 +25,7 @@ skewed read-heavy mixes, next-touch wins drifting ones.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from ..apps.kvserver import (
@@ -38,7 +39,7 @@ from ..apps.kvserver import (
 from ..obs.timeseries import SCHEMA as TIMESERIES_SCHEMA
 from .common import ExperimentResult, fresh_system
 
-__all__ = ["ServeResult", "race", "run"]
+__all__ = ["ServeResult", "race", "race_point", "run"]
 
 #: Zipf skews raced by ``--full`` (theta; 0.9 is the default mix).
 FULL_THETAS = (0.6, 0.9, 1.2)
@@ -104,6 +105,12 @@ def race(
     return server.run()
 
 
+def race_point(point: tuple[float, str], **race_kwargs) -> ServeStats:
+    """One point of the race: ``point`` is ``(theta, policy)``."""
+    theta, policy = point
+    return race(policy, theta=theta, **race_kwargs)
+
+
 def run(
     full: bool = False,
     *,
@@ -115,8 +122,14 @@ def run(
     policies: Optional[Sequence[str]] = None,
     gated: bool = True,
     seed: Optional[int] = None,
+    map_fn=map,
 ) -> ServeResult:
-    """Race the policies; ``full`` sweeps the Zipf skew as well."""
+    """Race the policies; ``full`` sweeps the Zipf skew as well.
+
+    ``map_fn`` maps :func:`race_point` over every ``(theta, policy)``
+    in order; :func:`repro.experiments.parallel.run_sweep` passes a
+    process pool's. Every point gets the same ``seed``.
+    """
     chosen = tuple(policies) if policies else POLICIES
     thetas = FULL_THETAS if full else (0.9,)
     result = ServeResult(
@@ -129,6 +142,17 @@ def run(
         xs=list(chosen),
     )
     result.slo_us = slo_us
+    point = partial(
+        race_point,
+        tenants=tenants,
+        keys=keys,
+        clients=clients,
+        requests=requests,
+        slo_us=slo_us,
+        gated=gated,
+        seed=seed,
+    )
+    raced = iter(map_fn(point, [(theta, policy) for theta in thetas for policy in chosen]))
     for theta in thetas:
         suffix = f" [theta={theta:g}]" if len(thetas) > 1 else ""
         columns = {
@@ -139,17 +163,7 @@ def run(
             f"SLO breaches{suffix}": [],
         }
         for policy in chosen:
-            stats = race(
-                policy,
-                tenants=tenants,
-                keys=keys,
-                clients=clients,
-                requests=requests,
-                theta=theta,
-                slo_us=slo_us,
-                gated=gated,
-                seed=seed,
-            )
+            stats = next(raced)
             label = f"{policy}@{theta:g}" if len(thetas) > 1 else policy
             result.stats[label] = stats.to_dict()
             cols = list(columns)

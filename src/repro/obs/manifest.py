@@ -96,10 +96,13 @@ def _sum_kernel_stats(systems) -> dict:
 
 
 def _sum_numastat(systems) -> dict:
+    """Per-node numastat rows summed by node index; each row is as long
+    as the largest machine's node count."""
     out: dict[str, list[int]] = {}
     for system in systems:
         for row, values in system.kernel.numastat.as_table().items():
-            acc = out.setdefault(row, [0] * len(values))
+            acc = out.setdefault(row, [])
+            acc.extend([0] * (len(values) - len(acc)))
             for i, v in enumerate(values):
                 acc[i] += v
     return out
@@ -133,7 +136,7 @@ def run_manifest(
     systems: Sequence,
     *,
     experiment: Optional[str] = None,
-    tracers: Optional[Sequence] = None,
+    metrics: Optional[dict] = None,
     seed: Optional[int] = None,
     wall_time_s: Optional[float] = None,
     argv: Optional[Sequence[str]] = None,
@@ -142,11 +145,13 @@ def run_manifest(
     """Build the manifest for a run over ``systems``.
 
     Counter-like quantities (kernel stats, numastat, ledger) are summed
-    across systems; link utilisations report the per-link peak; the
-    lock table merges by lock name. ``tracers`` (parallel to
-    ``systems``, e.g. from an :class:`~repro.obs.context.Observation`)
-    adds trace health to the metrics snapshot. All ``systems`` must
-    share one machine profile — the manifest describes the first.
+    across systems — numastat per node index, so machines of different
+    sizes merge; link utilisations report the per-link peak; the lock
+    table merges by lock name. ``metrics`` is the run's merged metrics
+    snapshot when the caller already has one (e.g.
+    :meth:`~repro.obs.context.Observation.merged_metrics`, which adds
+    trace health); without it the systems' own metrics are merged. The
+    ``machine`` and ``cost_model`` blocks describe the first system.
     """
     from .. import __version__
     from .metrics import merge_snapshots, system_metrics
@@ -154,9 +159,8 @@ def run_manifest(
     systems = list(systems)
     if not systems:
         raise ValueError("run_manifest needs at least one system")
-    tracer_list = list(tracers) if tracers is not None else [None] * len(systems)
-    if len(tracer_list) != len(systems):
-        raise ValueError("tracers must parallel systems")
+    if metrics is None:
+        metrics = merge_snapshots(system_metrics(system).snapshot() for system in systems)
     manifest = {
         "schema": SCHEMA,
         "experiment": experiment,
@@ -177,10 +181,7 @@ def run_manifest(
         "ledger": _sum_ledger(systems),
         "locks": lock_table(systems),
         "links": _peak_links(systems),
-        "metrics": merge_snapshots(
-            system_metrics(system, tracer).snapshot()
-            for system, tracer in zip(systems, tracer_list)
-        ),
+        "metrics": metrics,
     }
     if extra:
         manifest.update(extra)

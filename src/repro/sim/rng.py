@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["make_rng", "point_seed", "DEFAULT_SEED"]
+__all__ = ["make_rng", "DEFAULT_SEED"]
 
 #: Root seed used when callers do not supply one.
 DEFAULT_SEED: int = 0x5EED_CAFE
@@ -32,17 +32,3 @@ def make_rng(seed: Union[int, None] = None, *streams: Union[str, int]) -> np.ran
         for s in streams
     ]
     return np.random.default_rng(np.random.SeedSequence(keys))
-
-
-def point_seed(seed: Union[int, None], point_index: int) -> int:
-    """Derive the seed for one point of a sharded sweep.
-
-    ``point_seed(seed, i)`` depends only on the root seed and the
-    point's position in the serial sweep order — never on which worker
-    runs it — so a sweep merged from N workers is bit-identical to the
-    same sweep run on one.
-    """
-    if seed is None:
-        seed = DEFAULT_SEED
-    state = np.random.SeedSequence([seed, int(point_index)]).generate_state(1)
-    return int(state[0])

@@ -257,6 +257,41 @@ def test_cli_check_flag_alone_runs_checkers(capsys):
     assert "invariants OK" in capsys.readouterr().err
 
 
+def test_cli_workers_sweep_matches_serial(tmp_path, capsys):
+    import json
+
+    serial, sharded = tmp_path / "serial", tmp_path / "sharded"
+    assert cli_main(["fig5", "--json", str(serial)]) == 0
+    assert cli_main(["fig5", "--workers", "2", "--json", str(sharded)]) == 0
+    assert (sharded / "fig5.json").read_bytes() == (serial / "fig5.json").read_bytes()
+    manifest = json.load(open(sharded / "fig5.manifest.json"))
+    assert manifest["schema"] == "repro.sweep_manifest/v1"
+    assert (sharded / "fig5.metrics.json").exists()
+    # Whole-run observers cannot follow the points into the workers.
+    assert cli_main(["fig5", "--workers", "2", "--check"]) == 2
+
+
+def test_cli_workers_non_sweep_writes_run_artifacts(tmp_path, capsys):
+    import json
+
+    assert cli_main(["blas1", "--workers", "2", "--json", str(tmp_path)]) == 0
+    assert "not a shardable sweep" in capsys.readouterr().err
+    manifest = json.load(open(tmp_path / "blas1.manifest.json"))
+    assert manifest["schema"] == "repro.run_manifest/v1"
+    assert (tmp_path / "blas1.metrics.json").exists()
+
+
+def test_cli_whatif_json_merges_machine_sizes(tmp_path, capsys):
+    """The what-if machines have 2, 4 and 8 nodes; the manifest sums
+    numastat per node index over all of them."""
+    import json
+
+    assert cli_main(["whatif", "--json", str(tmp_path)]) == 0
+    manifest = json.load(open(tmp_path / "whatif.manifest.json"))
+    assert manifest["numastat"]
+    assert all(len(row) == 8 for row in manifest["numastat"].values())
+
+
 def test_cli_runs_one_experiment(capsys):
     assert cli_main(["fig5"]) == 0
     out = capsys.readouterr().out

@@ -63,15 +63,20 @@ def test_manifest_aggregates_across_systems():
 def test_manifest_with_observation_tracers():
     with observe() as obs:
         migrate_run()
-    manifest = run_manifest(obs.systems, tracers=obs.tracers)
+    metrics = obs.merged_metrics()
+    manifest = run_manifest(obs.systems, metrics=metrics)
+    # The caller's snapshot (with trace health) is used as given...
+    assert manifest["metrics"] is metrics
     assert manifest["metrics"]["trace.samples"]["value"] > 0
+    # ...and without one the systems' own metrics are merged.
+    own = run_manifest(obs.systems)["metrics"]
+    assert "trace.samples" not in own
+    assert own["kernel.pages_migrated"] == metrics["kernel.pages_migrated"]
 
 
 def test_manifest_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         run_manifest([])
-    with pytest.raises(ValueError):
-        run_manifest([migrate_run()], tracers=[None, None])
 
 
 def test_machine_dict_static_description():

@@ -1,11 +1,11 @@
 """Determinism contract of the sharded sweep runner.
 
-Pins the three properties ``repro.experiments.parallel`` promises:
+Pins the two properties ``repro.experiments.parallel`` promises:
 
 * the merged result is byte-identical for every worker count;
 * it is byte-identical to the serial ``run()`` of the same experiment
-  (same titles, notes, series order — metadata drift fails here);
-* per-point seeds derive from ``(root_seed, point_index)`` only.
+  (same titles, notes, series order and seeds — ``run_sweep`` calls
+  that very ``run()`` with a process-pool map).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.experiments.parallel import (
     resolve_workers,
     run_sweep,
 )
-from repro.sim.rng import DEFAULT_SEED, point_seed
 
 FIG_COUNTS = [16, 64]
 SERVE_OPTS = {"tenants": 2, "keys": 32, "clients": 1, "requests": 60}
@@ -29,17 +28,6 @@ SERVE_OPTS = {"tenants": 2, "keys": 32, "clients": 1, "requests": 60}
 
 def _dump(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
-
-
-# ------------------------------------------------------------- seeds ----
-
-
-def test_point_seed_deterministic():
-    assert point_seed(123, 0) == point_seed(123, 0)
-    assert point_seed(123, 0) != point_seed(123, 1)
-    assert point_seed(123, 0) != point_seed(124, 0)
-    # None falls back to the package default root seed.
-    assert point_seed(None, 5) == point_seed(DEFAULT_SEED, 5)
 
 
 def test_resolve_workers():
@@ -62,8 +50,8 @@ def test_unknown_experiment_rejected():
 
 
 def test_fig4_workers_identical():
-    one = run_sweep("fig4", workers=1, counts=FIG_COUNTS, collect=True)
-    two = run_sweep("fig4", workers=2, counts=FIG_COUNTS, collect=True)
+    one = run_sweep("fig4", workers=1, page_counts=FIG_COUNTS, collect=True)
+    two = run_sweep("fig4", workers=2, page_counts=FIG_COUNTS, collect=True)
     assert _dump(one.results[0]) == _dump(two.results[0])
     assert json.dumps(one.manifest, sort_keys=True) == json.dumps(
         two.manifest, sort_keys=True
@@ -78,8 +66,8 @@ def test_sweep_timeseries_worker_count_invariant():
     sharded — so it is byte-identical for every worker count."""
     from repro.obs.timeseries import SCHEMA
 
-    one = run_sweep("fig4", workers=1, counts=FIG_COUNTS, collect=True)
-    three = run_sweep("fig4", workers=3, counts=FIG_COUNTS, collect=True)
+    one = run_sweep("fig4", workers=1, page_counts=FIG_COUNTS, collect=True)
+    three = run_sweep("fig4", workers=3, page_counts=FIG_COUNTS, collect=True)
     series = one.manifest["timeseries"]
     assert series["schema"] == SCHEMA
     assert len(series["points"]) >= len(FIG_COUNTS)
@@ -91,8 +79,8 @@ def test_sweep_timeseries_worker_count_invariant():
 
 @pytest.mark.parametrize("seed", [None, 123])
 def test_serve_workers_identical(seed):
-    one = run_sweep("serve", workers=1, serve_opts=SERVE_OPTS, seed=seed)
-    two = run_sweep("serve", workers=2, serve_opts=SERVE_OPTS, seed=seed)
+    one = run_sweep("serve", workers=1, seed=seed, **SERVE_OPTS)
+    two = run_sweep("serve", workers=2, seed=seed, **SERVE_OPTS)
     assert _dump(one.results[0]) == _dump(two.results[0])
 
 
@@ -100,24 +88,25 @@ def test_serve_workers_identical(seed):
 
 
 def test_fig4_matches_serial():
-    sweep = run_sweep("fig4", counts=FIG_COUNTS)
+    sweep = run_sweep("fig4", page_counts=FIG_COUNTS)
     assert _dump(sweep.results[0]) == _dump(fig4_throughput.run(FIG_COUNTS))
 
 
 def test_fig5_matches_serial():
-    sweep = run_sweep("fig5", counts=FIG_COUNTS)
+    sweep = run_sweep("fig5", page_counts=FIG_COUNTS)
     assert _dump(sweep.results[0]) == _dump(fig5_nexttouch.run(FIG_COUNTS))
 
 
 def test_fig7_matches_serial():
-    sweep = run_sweep("fig7", workers=2, counts=[64], thread_counts=(1, 2))
+    sweep = run_sweep("fig7", workers=2, page_counts=[64], thread_counts=(1, 2))
     serial = fig7_scalability.run([64], thread_counts=(1, 2))
     assert _dump(sweep.results[0]) == _dump(serial)
 
 
-def test_serve_matches_serial():
-    sweep = run_sweep("serve", workers=2, serve_opts=SERVE_OPTS)
-    serial = fig_serve.run(**SERVE_OPTS)
+@pytest.mark.parametrize("seed", [None, 123])
+def test_serve_matches_serial(seed):
+    sweep = run_sweep("serve", workers=2, seed=seed, **SERVE_OPTS)
+    serial = fig_serve.run(seed=seed, **SERVE_OPTS)
     assert _dump(sweep.results[0]) == _dump(serial)
 
 
