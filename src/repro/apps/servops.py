@@ -45,7 +45,8 @@ consuming the *same* pre-drawn Zipfian pair) at the first disqualifier:
 
 * the global gate :func:`serve_turbo_ok` is off (``REPRO_SLOW_PATH=1``,
   ``force_slow_path``, ``debug_checks``, an attached tracepoint
-  recorder, or a ledger tracer);
+  recorder, or an attached ledger sink such as a tracer, whose samples
+  the deferred ``serve.*`` replay would deliver out of engine order);
 * the tenant's policy driver is due to wake inside the horizon — the
   lease never crosses ``tenant.next_wake``, so ticks, heat snapshots
   and time-series samples see exactly the slow world's state;
@@ -120,13 +121,19 @@ def serve_turbo_ok(kernel) -> bool:
     serve clients always have runnable peers, so the controller instead
     guarantees non-interference structurally (lease horizons never
     cross a driver wake, effects drain before any observer runs).
+
+    Unlike the kernel gate it also declines while any ledger sink is
+    attached (a :class:`~repro.sim.trace.Tracer`): a lease defers its
+    ``serve.*`` adds and replays them at :meth:`ServeTurbo.finalize`,
+    after the live kernel adds of the same stretch, so a sink would
+    see them out of engine order.
     """
     return (
         kernel._fastpath_enabled
         and not kernel.force_slow_path
         and not kernel.debug_checks
         and not tracepoints.tracepoints_enabled()
-        and not kernel.ledger.traced
+        and not kernel.ledger.sinks
     )
 
 

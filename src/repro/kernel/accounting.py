@@ -5,6 +5,14 @@ Every charged operation carries a component tag (``"move_pages.copy"``,
 next-touch cost-breakdown percentages — is produced directly from this
 ledger rather than from a separate model, so the breakdown always
 reflects what the simulated implementation actually did.
+
+Observers subscribe as *sinks*: callables fed every charge as
+``sink(at_us, duration_us, tag)`` after the totals update, where
+``at_us`` is the charge's simulated instant (``None`` means "now").
+The wall-clock fast paths replay multi-charge sequences inline and
+pass each charge's computed instant, so a sink sees exactly the stream
+the per-charge reference path produces and never has to switch the
+fast paths off (a :class:`~repro.sim.trace.Tracer` is one such sink).
 """
 
 from __future__ import annotations
@@ -21,12 +29,11 @@ class Ledger:
     def __init__(self) -> None:
         self.totals: dict[str, float] = defaultdict(float)
         self.counts: dict[str, int] = defaultdict(int)
-        #: True while a :class:`~repro.sim.trace.Tracer` wraps
-        #: :meth:`add`. ``Kernel.turbo_ok`` reads this flag — rather
-        #: than sniffing the instance ``__dict__`` — to keep the
-        #: wall-clock fast paths off while every charge must be
-        #: individually observable.
-        self.traced = False
+        #: Ordered charge observers, each called as
+        #: ``sink(at_us, duration_us, tag)`` (see the module docstring).
+        #: Run-op replays fold their totals locally and feed the sinks
+        #: charge by charge, so a sink must not read :attr:`totals`.
+        self.sinks: list = []
         #: Optional ``(prefixes, sink)`` installed by the serve turbo
         #: controller (:mod:`repro.apps.servops`): while set, adds whose
         #: tag matches a prefix are routed to ``sink(tag, us)`` instead
@@ -36,14 +43,32 @@ class Ledger:
         #: this is what keeps deferred totals bit-identical.
         self._defer: "tuple[tuple[str, ...], object] | None" = None
 
-    def add(self, tag: str, duration_us: float) -> None:
-        """Record ``duration_us`` of work under ``tag``."""
+    def add(self, tag: str, duration_us: float, at_us: "float | None" = None) -> None:
+        """Record ``duration_us`` of work under ``tag``.
+
+        ``at_us`` is the simulated instant of the charge, passed by
+        replays that run ahead of the engine clock; ``None`` means
+        "now". It reaches the sinks only — the totals do not depend
+        on it.
+        """
         defer = self._defer
         if defer is not None and tag.startswith(defer[0]):
             defer[1](tag, duration_us)
             return
         self.totals[tag] += duration_us
         self.counts[tag] += 1
+        if self.sinks:  # the unobserved hot path pays one test
+            self.emit(at_us, duration_us, tag)
+
+    def emit(self, at_us: "float | None", duration_us: float, tag: str) -> None:
+        """Feed one charge to the sinks without touching the totals.
+
+        :meth:`add` calls it after its totals update. Run-op replays
+        that fold their totals locally call it directly, once per
+        per-page charge, in the reference path's order.
+        """
+        for sink in self.sinks:
+            sink(at_us, duration_us, tag)
 
     def begin_defer(self, prefixes: tuple[str, ...], sink) -> None:
         """Route adds matching ``prefixes`` to ``sink`` until

@@ -178,10 +178,11 @@ class Kernel:
         scheduled, no other process can run — or observe intermediate
         state — before the fast path schedules its own completion, so
         replaying a multi-event sequence inline is indistinguishable
-        from stepping through it. The remaining checks keep every
-        observer (tracer-sampled ledger, tracepoint recorders, debug
-        invariant sweeps) on the reference path, where per-event
-        timestamps still exist.
+        from stepping through it. The remaining checks keep tracepoint
+        recorders and debug invariant sweeps on the reference path,
+        where their per-event spans still exist. Ledger sinks (an
+        attached :class:`~repro.sim.trace.Tracer`) need no clause:
+        every replay hands them each charge's simulated instant.
         """
         return (
             self._fastpath_enabled
@@ -189,7 +190,6 @@ class Kernel:
             and not self.debug_checks
             and self.env.idle
             and not tracepoints.tracepoints_enabled()
-            and not self.ledger.traced  # Tracer attached
         )
 
     def charge_run(self, charges) -> Event:
@@ -199,13 +199,14 @@ class Kernel:
         entries and the completion instant are computed exactly as the
         per-charge path would (per-entry ledger adds, sequential float
         additions for the deadline), so simulated results stay
-        bit-identical — only the number of engine events drops. Callers
-        must hold the :meth:`turbo_ok` gate.
+        bit-identical — only the number of engine events drops. Each
+        add carries its charge's start, the instant the per-charge path
+        would book it at. Callers must hold the :meth:`turbo_ok` gate.
         """
         t = self.env.now
         add = self.ledger.add
         for tag, duration_us in charges:
-            add(tag, duration_us)
+            add(tag, duration_us, t)
             t = t + duration_us
         return self.env.timeout_at(t)
 

@@ -302,7 +302,11 @@ def demand_zero_run(
     # --- per-page float replay: the clock, per-tag ledger totals and
     # lock hold times are sequential sums whose rounding depends on the
     # exact order of additions, so they are replayed addition by
-    # addition rather than computed in closed form.
+    # addition rather than computed in closed form. Ledger sinks get
+    # each page's charges at their per-page instants as the replay
+    # computes them (entry, anon, alloc, then access).
+    sinks = led.sinks
+    emit = led.emit
     entry_us = cost.fault_entry_us
     anon_us = cost.anon_fault_us
     alloc_us = cost.lru_lock_hold_us / 2
@@ -329,6 +333,7 @@ def demand_zero_run(
             pmd_hold = 0.0
             boundary += 512
         node = target if targets is None else int(targets[i])
+        t0 = t
         t1 = t + entry_us
         t2 = t1 + anon_us
         t3 = t2 + alloc_us
@@ -349,6 +354,12 @@ def demand_zero_run(
         tot_entry = tot_entry + entry_us
         tot_anon = tot_anon + anon_us
         tot_alloc = tot_alloc + alloc_us
+        if sinks:
+            emit(t0, entry_us, "fault.entry")
+            emit(t1, anon_us, "fault.anon")
+            emit(t2, alloc_us, "fault.alloc")
+            if i != last and acc > 0:
+                emit(t3, acc, tag)
     stats = ptl_locks[pmd_group].stats
     stats.acquisitions += pmd_acq
     stats.hold_time += pmd_hold

@@ -68,8 +68,9 @@ def charge_stages(kernel: Kernel, stages):
     :meth:`Kernel.tlb_shootdown_cost` — bump their stats in the same
     order as the per-charge path).  Under :meth:`Kernel.turbo_ok` the
     ledger entries and the completion instant are folded into a single
-    ``timeout_at`` with the per-charge float arithmetic; otherwise each
-    stage is a separate :meth:`Kernel.charge` event.
+    ``timeout_at`` with the per-charge float arithmetic (each add
+    stamped with its stage's start); otherwise each stage is a separate
+    :meth:`Kernel.charge` event.
     """
     if kernel.turbo_ok():
         t = kernel.env.now
@@ -77,7 +78,7 @@ def charge_stages(kernel: Kernel, stages):
         for tag, duration_us in stages:
             if callable(duration_us):
                 duration_us = duration_us()
-            add(tag, duration_us)
+            add(tag, duration_us, t)
             t = t + duration_us
         yield kernel.env.timeout_at(t)
     else:
@@ -227,18 +228,20 @@ def migrate_run(
             anon_stats.acquisitions += 1
             t_anon = t
         # Control + per-page TLB shootdowns: booked separately, slept
-        # once — the same fold the chunked turbo branch used.
+        # once — the same fold the chunked turbo branch used. Every
+        # prospective add is stamped with its charge's start, the
+        # retrospective copy add with the transfer's end.
         c = control_us * k
-        led.add(control_tag, c)
+        led.add(control_tag, c, t)
         t = t + c
         c = kernel.tlb_shootdown_cost(process, thread.core, k)
-        led.add(control_tag, c)
+        led.add(control_tag, c, t)
         t = t + c
         # Destination LRU lock held across the alloc charge.
         dest_lru_stats.acquisitions += 1
         since = t
         c = half_hold * k
-        led.add(control_tag, c)
+        led.add(control_tag, c, t)
         t = t + c
         dest_lru_stats.hold_time += t - since
         if anon_stats is not None:
@@ -248,12 +251,12 @@ def migrate_run(
         t0 = t
         if single_src:
             t = replay_transfer(channel, float(k) * PAGE_SIZE, copy_bw, t)
-            led.add(copy_tag, t - t0)
+            led.add(copy_tag, t - t0, t)
             stats = lru_locks[src0].stats
             stats.acquisitions += 1
             since = t
             c = half_hold * k
-            led.add(control_tag, c)
+            led.add(control_tag, c, t)
             t = t + c
             stats.hold_time += t - since
         else:
@@ -262,13 +265,13 @@ def migrate_run(
             for src in srcs:
                 count = int(np.count_nonzero(src_nodes == src))
                 t = replay_transfer(channel, float(count) * PAGE_SIZE, copy_bw, t)
-            led.add(copy_tag, t - t0)
+            led.add(copy_tag, t - t0, t)
             for src in srcs:
                 stats = lru_locks[int(src)].stats
                 stats.acquisitions += 1
                 since = t
                 c = half_hold * int(np.count_nonzero(src_nodes == src))
-                led.add(control_tag, c)
+                led.add(control_tag, c, t)
                 t = t + c
                 stats.hold_time += t - since
         moved += k
@@ -332,6 +335,11 @@ def cow_break_run(
     cost = kernel.cost
     env = kernel.env
     led = kernel.ledger
+    # Ledger sinks get each page's charges at their per-page instants:
+    # entry, then reuse or control plus a 0.0 copy add at the copy's
+    # end, then access.
+    sinks = led.sinks
+    emit = led.emit
     entry_us = cost.fault_entry_us
     ctrl_us = cost.nt_fault_control_us
     copy_bw = cost.kernel_page_copy_bw
@@ -364,6 +372,7 @@ def cow_break_run(
             boundary += 512
         i = idx + j
         flags = int(pt.flags[i])
+        t_page = t
         t = t + entry_us
         tot_entry = tot_entry + entry_us
         since = t  # PTL taken after the entry charge
@@ -394,6 +403,7 @@ def cow_break_run(
                 t = replay_transfer(channel, float(PAGE_SIZE), copy_bw, t)
             node_after = dest
         pmd_hold = pmd_hold + (t - since)
+        t_done = t
         if j != last and bytes_per_page > 0:
             acc = acc_cache.get(node_after)
             if acc is None:
@@ -404,6 +414,15 @@ def cow_break_run(
                 acc_total = acc_total + acc
                 acc_count += 1
                 t = t + acc
+        if sinks:
+            emit(t_page, entry_us, "fault.entry")
+            if shared[j]:
+                emit(since, ctrl_us, "cow.control")
+                emit(t_done, 0.0, "cow.copy")
+            else:
+                emit(since, ctrl_us, "cow.reuse")
+            if j != last and bytes_per_page > 0 and acc > 0:
+                emit(t_done, acc, tag)
     stats = ptl_locks[pmd_group].stats
     stats.acquisitions += pmd_acq
     stats.hold_time = pmd_hold
@@ -488,6 +507,10 @@ def swap_in_run(
     cost = kernel.cost
     env = kernel.env
     led = kernel.ledger
+    # Ledger sinks get each page's charges at their per-page instants:
+    # entry, swap.in.fault, the device read at its end, then access.
+    sinks = led.sinks
+    emit = led.emit
     entry_us = cost.fault_entry_us
     io_bytes = float(PAGE_SIZE) + device.op_latency_us * channel.capacity
     t = env.now
@@ -517,6 +540,7 @@ def swap_in_run(
             pmd_acq = 0
             pmd_hold = ptl_locks[pmd_group].stats.hold_time
             boundary += 512
+        t_page = t
         t = t + entry_us  # fault.entry, before mmap_sem/PTL
         tot_entry = tot_entry + entry_us
         since = t
@@ -527,10 +551,17 @@ def swap_in_run(
         t = replay_transfer(channel, io_bytes, None, t)
         tot_io = tot_io + (t - t0)
         pmd_hold = pmd_hold + (t - since)
+        t_done = t
         if j != last and acc > 0:
             acc_total = acc_total + acc
             acc_count += 1
             t = t + acc
+        if sinks:
+            emit(t_page, entry_us, "fault.entry")
+            emit(since, entry_us, "swap.in.fault")
+            emit(t_done, t_done - t0, "swap.in")
+            if j != last and acc > 0:
+                emit(t_done, acc, tag)
     stats = ptl_locks[pmd_group].stats
     stats.acquisitions += pmd_acq
     stats.hold_time = pmd_hold

@@ -181,14 +181,16 @@ def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
                     None,
                     kernel.env.now,
                 )
-                kernel.ledger.add("swap.out", 0.0)
+                # Both adds land at the write's end, as on the
+                # per-segment path below.
+                kernel.ledger.add("swap.out", 0.0, t_io)
                 vma.pt.unmap_pages(idxs)
                 table[idxs] = slots
                 kernel.release_frames(frames)
                 device.pages_out += int(idxs.size)
                 written += int(idxs.size)
                 shoot = kernel.tlb_shootdown_cost(process, thread.core, 1)
-                kernel.ledger.add("swap.out", shoot)
+                kernel.ledger.add("swap.out", shoot, t_io)
                 yield kernel.env.timeout_at(t_io + shoot)
                 continue
             yield device.io_event(int(idxs.size))

@@ -11,8 +11,13 @@ that from the outside::
 
 :class:`~repro.system.System.__init__` checks
 :func:`current_observation` and registers itself; registration attaches
-a bounded :class:`~repro.sim.trace.Tracer` to the kernel's ledger.
-Contexts nest — only the innermost one observes.
+a bounded :class:`~repro.sim.trace.Tracer` to the kernel's ledger as a
+sink. The tracer leaves the kernel's wall-clock fast paths on — every
+turbo replay hands it each charge's simulated instant, so it records
+the samples the per-page reference path would. (The serve batching
+layer still declines under a sink; see
+:func:`repro.apps.servops.serve_turbo_ok`.) Contexts nest — only the
+innermost one observes.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Always-on kernel telemetry: vmstat-style monotonic counters.
 
 The paper's claim is that migration cost must be *measured* to be
-managed — but until this module, looking at the kernel meant slowing
-it down: attaching a tracer or tracepoint recorder disengages every
-wall-clock fast path in ``Kernel.turbo_ok()``. :class:`KernelStats`
-is the always-on alternative: a block of plain-integer monotonic
-counters that both the slow per-page paths and the ``runops.py``
-turbo commits increment **run-granularly**, so
+managed — but per-event observers cost host time: a tracepoint
+recorder disengages every wall-clock fast path in
+``Kernel.turbo_ok()``, and even a tracer (a ledger sink the fast paths
+feed, so it keeps them on) stores one sample per charge.
+:class:`KernelStats` is the always-on alternative: a block of
+plain-integer monotonic counters that both the slow per-page paths and
+the ``runops.py`` turbo commits increment **run-granularly**, so
 
 * the counters are bit-identical fast-vs-slow (pinned by
   ``tests/test_fastpath_equivalence.py``), and

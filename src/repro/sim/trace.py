@@ -1,9 +1,13 @@
 """Event tracing: record charged operations as a timeline.
 
-A :class:`Tracer` hooks the kernel's charge path and keeps a bounded
-record of ``(start, duration, tag)`` samples. Besides debugging, it
-powers :meth:`Tracer.timeline`, an ASCII rendering of where simulated
-time went — a poor man's Gantt chart for the simulated machine.
+A :class:`Tracer` is a sink on the kernel's ledger (see
+:mod:`repro.kernel.accounting`) and keeps a bounded record of
+``(start, duration, tag)`` samples. Attaching one changes neither the
+simulation nor the kernel's fast paths: every charge arrives with its
+simulated instant, whether the per-charge path or a turbo replay
+booked it. Besides debugging, it powers :meth:`Tracer.timeline`, an
+ASCII rendering of where simulated time went — a poor man's Gantt
+chart for the simulated machine.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class Tracer:
         self.capacity = capacity
         self._samples: Deque[TraceSample] = deque(maxlen=capacity)
         self.dropped = 0
+        #: ``(ledger, sink)`` per attached kernel, for :meth:`detach`.
+        self._attached: list = []
 
     # ------------------------------------------------------------ recording --
     def record(self, start_us: float, duration_us: float, tag: str) -> None:
@@ -55,48 +61,37 @@ class Tracer:
         self._samples.append(TraceSample(start_us, duration_us, tag))
 
     def attach(self, kernel) -> None:
-        """Hook a kernel so every ledger entry is recorded.
+        """Subscribe to a kernel's ledger so every charge is recorded.
 
-        All charged time funnels through ``kernel.ledger.add`` — both
-        prospective charges (the sample starts now) and retrospective
-        ones like measured copy phases (the sample ended now).
+        All charged time reaches the ledger's sinks — both prospective
+        charges (the sample starts at the charge) and retrospective ones
+        like measured copy phases (the sample starts where the copy
+        ended). The ledger hands each charge's simulated instant to the
+        sink, which reads ``kernel.env.now`` only when the instant is
+        "now" (``None``); the fast paths pass the instant their replay
+        computed, so an attached tracer leaves them on.
         """
-        ledger = kernel.ledger
-        original = ledger.add
-        previous = ledger.__dict__.get("add")  # inner wrapper, if stacked
+        env = kernel.env
+        record = self.record
 
-        def adding(tag: str, duration_us: float) -> None:
-            self.record(kernel.env.now, duration_us, tag)
-            original(tag, duration_us)
+        def sink(at_us: Optional[float], duration_us: float, tag: str) -> None:
+            record(env.now if at_us is None else at_us, duration_us, tag)
 
-        adding._trace_prev = previous
-        ledger.add = adding
-        # Turbo eligibility gates on this flag (not on __dict__
-        # sniffing): while traced, every charge stays a separate,
-        # individually timestamped event.
-        ledger.traced = True
+        kernel.ledger.sinks.append(sink)
+        self._attached.append((kernel.ledger, sink))
 
     def detach(self, kernel) -> None:
-        """Unhook the most recent :meth:`attach`, restoring turbo
-        eligibility once no wrapper remains.
+        """Remove this tracer's sink from ``kernel``'s ledger.
 
-        Idempotent on an untraced kernel. Stacked tracers unwind in
-        LIFO order: each ``detach`` peels exactly one ``attach`` (the
-        wrapper remembers the one beneath it), and ``Ledger.traced``
-        turns false only when the last wrapper goes.
+        Other tracers on the same kernel keep recording, whatever order
+        they attached in. A no-op when this tracer is not attached.
         """
         ledger = kernel.ledger
-        current = ledger.__dict__.get("add")
-        if current is None:
-            ledger.traced = False
-            return
-        previous = getattr(current, "_trace_prev", None)
-        if previous is None:
-            del ledger.__dict__["add"]
-            ledger.traced = False
-        else:
-            ledger.add = previous
-            ledger.traced = True
+        for i, (owner, sink) in enumerate(self._attached):
+            if owner is ledger:
+                ledger.sinks.remove(sink)
+                del self._attached[i]
+                return
 
     # ------------------------------------------------------------ queries ----
     @property

@@ -252,6 +252,35 @@ def test_cli_check_flag(tmp_path, capsys):
     assert metrics["check.invariant_violations"]["value"] == 0
 
 
+def test_cli_observed_artifacts_match_slow_path(tmp_path, monkeypatch, capsys):
+    """An observed run takes the fast paths and still writes what the
+    per-page reference path writes. Only host-side fields may differ:
+    argv, wall time and the engine's event count."""
+    import json
+
+    def run(out) -> None:
+        d = str(out)
+        assert cli_main(["fig4", "--json", d, "--trace", d, "--check"]) == 0
+
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    run(fast)
+    monkeypatch.setenv("REPRO_SLOW_PATH", "1")  # read at kernel construction
+    run(slow)
+    for name in ("fig4.json", "fig4.trace.json"):
+        assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+    def scrubbed(path, name: str) -> dict:
+        doc = json.load(open(path / name))
+        metrics = doc.get("metrics", doc)
+        assert metrics.pop("sim.events_processed")
+        doc.pop("argv", None)
+        doc.pop("wall_time_s", None)
+        return doc
+
+    for name in ("fig4.manifest.json", "fig4.metrics.json"):
+        assert scrubbed(fast, name) == scrubbed(slow, name), name
+
+
 def test_cli_check_flag_alone_runs_checkers(capsys):
     assert cli_main(["fig4", "--check"]) == 0
     assert "invariants OK" in capsys.readouterr().err

@@ -1,14 +1,13 @@
 """Fast-path equivalence: the turbo paths must be bit-identical.
 
 The wall-clock fast paths (see ``docs/performance.md``) carry a hard
-contract: with no observer attached, the vectorized page walks, the
-merged charge events and the demand-zero turbo commit must leave the
-simulation in EXACTLY the state the per-page slow path produces —
-same simulated clock (bit-for-bit float equality), same ledger totals
-and counts, same page tables, same NUMA counters, same allocator and
-lock statistics — and same always-on telemetry: the ``KernelStats``
-counters (scalar and dict-valued) and a closing
-``TimeSeriesSampler`` sample are part of the diffed state.
+contract: the vectorized page walks, the merged charge events and the
+run-op turbo commits must leave the simulation in EXACTLY the state
+the per-page slow path produces — same simulated clock (bit-for-bit
+float equality), same ledger totals and counts, same page tables, same
+NUMA counters, same allocator and lock statistics — and same always-on
+telemetry: the ``KernelStats`` counters (scalar and dict-valued) and a
+closing ``TimeSeriesSampler`` sample are part of the diffed state.
 
 This suite replays seeded fuzzer workloads — the same generator
 ``make fuzz`` uses, so mprotect / madvise / fork / swap / migration
@@ -18,6 +17,12 @@ the fast paths enabled (the default), one with
 diffed field by field. ``events_processed`` is deliberately outside
 the comparison: event *coalescing* is the point of the fast path, so
 only observable state and the clock must agree.
+
+Every workload is replayed a second time with a :class:`Tracer`
+attached to both twins: a tracer is a ledger sink that keeps the fast
+paths on, so its ``(start, duration, tag)`` sample lists must match
+fast vs slow exactly too — each replay hands it the instant the
+per-charge path would have booked the charge at.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.kernel.mempolicy import MemPolicy
 from repro.kernel.swap import SwapDevice, attach_swap
 from repro.kernel.syscalls import Madvise
 from repro.kernel.vma import PROT_RW
+from repro.sim.trace import Tracer
 from repro.system import System
 from repro.util.units import PAGE_SHIFT, PAGE_SIZE
 
@@ -46,6 +52,10 @@ N_OPS = 40
 #: vectorized ``_access_cost_us`` and the turbo access-charge replay
 #: are exercised too (the fuzzer's own touches use bytes_per_page=0).
 ACCESS_SEEDS = range(101, 113)
+
+#: Tracer capacity for traced replays: large enough that no workload
+#: here evicts a sample, so the whole charge stream is diffed.
+TRACE_CAPACITY = 1 << 20
 
 
 def _lock_stats(stats) -> tuple:
@@ -65,10 +75,16 @@ class _Executor:
     a canonical end state for exact comparison against its twin.
     """
 
-    def __init__(self, *, slow: bool, bytes_per_page: float = 0.0) -> None:
+    def __init__(
+        self, *, slow: bool, bytes_per_page: float = 0.0, traced: bool = False
+    ) -> None:
         self.system = System(fuzz_machine())
         self.kernel = self.system.kernel
         self.kernel.force_slow_path = slow
+        self.tracer: Optional[Tracer] = None
+        if traced:
+            self.tracer = Tracer(capacity=TRACE_CAPACITY)
+            self.tracer.attach(self.kernel)
         attach_swap(self.kernel, SwapDevice(self.kernel.env, capacity_pages=1 << 14))
         self.bytes_per_page = bytes_per_page
         self.procs = {"p0": self.system.create_process("p0")}
@@ -230,18 +246,34 @@ def _diff(a, b, path="") -> list[str]:
     return out
 
 
-def _replay(seed: int, *, slow: bool, bytes_per_page: float = 0.0):
-    ex = _Executor(slow=slow, bytes_per_page=bytes_per_page)
+def _trace(ex: _Executor) -> list:
+    """The traced charge stream as plain tuples (nothing evicted)."""
+    assert ex.tracer.dropped == 0
+    return [(s.start_us, s.duration_us, s.tag) for s in ex.tracer.samples]
+
+
+def _assert_same_trace(fast: _Executor, slow: _Executor, label: str = "") -> None:
+    fast_trace, slow_trace = _trace(fast), _trace(slow)
+    assert fast_trace, f"{label}: nothing traced"
+    diffs = _diff(fast_trace, slow_trace, "trace")
+    assert not diffs, f"{label}:\n" + "\n".join(diffs[:12])
+
+
+def _replay(seed: int, *, slow: bool, bytes_per_page: float = 0.0, traced: bool = False):
+    ex = _Executor(slow=slow, bytes_per_page=bytes_per_page, traced=traced)
     outcomes = [ex.run_op(op) for op in generate_ops(seed, N_OPS)]
-    return outcomes, ex.canonical()
+    return outcomes, ex
 
 
 def _assert_equivalent(seed: int, bytes_per_page: float = 0.0) -> None:
     fast_out, fast = _replay(seed, slow=False, bytes_per_page=bytes_per_page)
     slow_out, slow = _replay(seed, slow=True, bytes_per_page=bytes_per_page)
     assert fast_out == slow_out, f"seed {seed}: outcomes diverged"
-    diffs = _diff(fast, slow)
+    diffs = _diff(fast.canonical(), slow.canonical())
     assert not diffs, f"seed {seed}:\n" + "\n".join(diffs[:12])
+    _, fast = _replay(seed, slow=False, bytes_per_page=bytes_per_page, traced=True)
+    _, slow = _replay(seed, slow=True, bytes_per_page=bytes_per_page, traced=True)
+    _assert_same_trace(fast, slow, f"seed {seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -279,8 +311,7 @@ def test_turbo_demand_zero_matches_slow_path(interleave):
     non-zero access cost, under DEFAULT and INTERLEAVE policies
     (the two allocation shapes the turbo commit implements)."""
 
-    def run(slow: bool) -> dict:
-        ex = _Executor(slow=slow, bytes_per_page=float(PAGE_SIZE))
+    def script(ex):
         proc = ex.procs["p0"]
         npages = 1500
 
@@ -299,12 +330,9 @@ def test_turbo_demand_zero_matches_slow_path(interleave):
             )
             return addr
 
-        thread = ex.system.spawn(proc, 0, body, name="turbo")
-        ex.system.run_to(thread.join())
-        return ex.canonical()
+        _spawn(ex, proc, 0, body)
 
-    diffs = _diff(run(False), run(True))
-    assert not diffs, "\n".join(diffs[:12])
+    _assert_script_equivalent(script, bytes_per_page=float(PAGE_SIZE))
 
 
 # ------------------------------------------------------- run-op layer ----
@@ -322,17 +350,18 @@ def _spawn(ex: _Executor, proc, core: int, body):
 
 
 def _assert_script_equivalent(script, bytes_per_page: float = 0.0):
-    """Replay ``script(ex)`` fast and forced-slow; states must match."""
+    """Replay ``script(ex)`` fast and forced-slow; states must match,
+    and so must the sample lists of a second, traced pair."""
 
-    def run(slow: bool) -> _Executor:
-        ex = _Executor(slow=slow, bytes_per_page=bytes_per_page)
+    def run(slow: bool, traced: bool = False) -> _Executor:
+        ex = _Executor(slow=slow, bytes_per_page=bytes_per_page, traced=traced)
         script(ex)
         return ex
 
     fast, slow = run(False), run(True)
     diffs = _diff(fast.canonical(), slow.canonical())
     assert not diffs, "\n".join(diffs[:12])
-    return fast, slow
+    _assert_same_trace(run(False, traced=True), run(True, traced=True))
 
 
 @pytest.mark.parametrize("multi_src", [False, True])
@@ -632,3 +661,60 @@ def test_force_slow_path_disables_turbo():
 
     fast, slow = events(False), events(True)
     assert fast < slow
+
+
+def test_runops_engage_with_tracer_attached(monkeypatch):
+    """A tracer is a ledger sink, not an observer the turbo gate must
+    yield to: with one attached, ``turbo_ok()`` holds and every run-op
+    commits its run instead of declining."""
+    import repro.kernel.access as access
+    import repro.kernel.migrate as migrate
+
+    outcomes: dict[str, list] = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            outcomes.setdefault(name, []).append(result is not None)
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (access, "demand_zero_run"),
+        (access, "cow_break_run"),
+        (access, "swap_in_run"),
+        (migrate, "migrate_run"),
+    ):
+        count(module, name)
+
+    ex = _Executor(slow=False, traced=True)
+    assert ex.kernel.turbo_ok()
+    proc = ex.procs["p0"]
+    npages = 256
+    total = npages * PAGE_SIZE
+    shared = {}
+
+    def setup(t):
+        addr = yield from t.mmap(total, PROT_RW)
+        yield from t.touch(addr, total, write=True, batch=1)
+        yield from t.move_range(addr, total, 1)
+        shared["addr"] = addr
+        shared["child"] = yield from t.fork()
+
+    _spawn(ex, proc, 0, setup)
+    toucher_core = ex.system.machine.cores_of_node(2)[0]
+
+    def cow_then_swap(t):
+        yield from t.touch(shared["addr"], total, write=True, batch=1)
+        yield from t.swap_out(shared["addr"], total)
+        yield from t.touch(shared["addr"], total, write=True, batch=1)
+
+    _spawn(ex, proc, toucher_core, cow_then_swap)
+    assert ex.kernel.turbo_ok()
+    assert set(outcomes) == {"demand_zero_run", "cow_break_run", "swap_in_run", "migrate_run"}
+    assert all(all(engaged) for engaged in outcomes.values()), outcomes
+    tags = {s.tag for s in ex.tracer.samples}
+    assert {"fault.anon", "move_pages.copy", "cow.copy", "swap.in"} <= tags

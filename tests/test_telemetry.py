@@ -1,13 +1,13 @@
 """Tests for the always-on telemetry layer (repro.obs.telemetry,
-repro.obs.timeseries) and the explicit ``Ledger.traced`` turbo gate.
+repro.obs.timeseries) and tracers as ledger sinks.
 
 The load-bearing properties:
 
 * reading the counters never disengages the fast paths — a fresh
   system with telemetry is turbo-eligible, and sampling keeps it so;
-* tracer attach/detach flips turbo eligibility through the explicit
-  ``Ledger.traced`` flag (no ``__dict__`` sniffing), with stacked
-  tracers unwinding LIFO;
+* neither does a tracer: it is a sink on the ledger, attaching and
+  detaching leave ``turbo_ok()`` holding, and stacked tracers detach
+  independently in any order;
 * the documented counter registry (``COUNTERS``) and the live
   ``KernelStats`` fields cannot drift apart;
 * series merge in point order, invariant to how points were sharded.
@@ -105,45 +105,51 @@ def test_telemetry_never_trips_turbo():
     assert kernel.turbo_ok()
 
 
-def test_tracer_attach_detach_flips_turbo_eligibility():
-    """The explicit ``Ledger.traced`` flag: attach disengages the fast
-    paths, detach restores them — the regression the old ``__dict__``
-    sniff could not express."""
+def test_tracer_attach_detach_keeps_turbo_eligibility():
+    """A tracer is a ledger sink: the fast paths hand it every charge's
+    simulated instant, so attaching one leaves ``turbo_ok()`` holding."""
     system = System()
     kernel = system.kernel
-    assert kernel.turbo_ok() and not kernel.ledger.traced
+    assert kernel.turbo_ok() and not kernel.ledger.sinks
     tracer = Tracer()
     tracer.attach(kernel)
-    assert kernel.ledger.traced and not kernel.turbo_ok()
+    assert kernel.turbo_ok() and len(kernel.ledger.sinks) == 1
     tracer.detach(kernel)
-    assert not kernel.ledger.traced and kernel.turbo_ok()
+    assert kernel.turbo_ok() and not kernel.ledger.sinks
     # detach on an untraced kernel is a no-op
     tracer.detach(kernel)
-    assert kernel.turbo_ok()
+    assert kernel.turbo_ok() and not kernel.ledger.sinks
 
 
-def test_stacked_tracers_unwind_lifo():
+@pytest.mark.parametrize("first_out", ["first", "second"])
+def test_stacked_tracers_detach_in_either_order(first_out):
+    """Each tracer stops recording exactly when it detaches; the other
+    keeps recording whichever attached last."""
     system = System()
     kernel = system.kernel
-    first, second = Tracer(), Tracer()
-    first.attach(kernel)
-    second.attach(kernel)
-    assert kernel.ledger.traced
-    second.detach(kernel)
-    # one tracer still hooked: turbo stays off, and its wrapper still
-    # records charges
-    assert kernel.ledger.traced and not kernel.turbo_ok()
-    before = len(first.samples)
-    kernel.ledger.add("probe", 1.0)
-    assert len(first.samples) == before + 1
-    assert not second.filter("probe")
-    first.detach(kernel)
-    assert not kernel.ledger.traced and kernel.turbo_ok()
+    tracers = {"first": Tracer(), "second": Tracer()}
+    tracers["first"].attach(kernel)
+    tracers["second"].attach(kernel)
+    order = [first_out, "second" if first_out == "first" else "first"]
+
+    def probe(tag: str) -> None:
+        kernel.ledger.add(tag, 1.0)
+        assert kernel.turbo_ok()
+
+    probe("probe.both")
+    tracers[order[0]].detach(kernel)
+    probe("probe.one")
+    tracers[order[1]].detach(kernel)
+    probe("probe.none")
+    gone, kept = tracers[order[0]], tracers[order[1]]
+    assert [s.tag for s in gone.samples] == ["probe.both"]
+    assert [s.tag for s in kept.samples] == ["probe.both", "probe.one"]
+    assert not kernel.ledger.sinks
 
 
 def test_traced_kernel_still_counts():
     """Counters accumulate identically with a tracer attached (they
-    sit below the ledger hook, on the kernel paths themselves)."""
+    sit below the ledger sinks, on the kernel paths themselves)."""
 
     def run(traced: bool) -> dict:
         system = System()
@@ -159,10 +165,10 @@ def test_traced_kernel_still_counts():
         drive(system, body, core=0, process=proc)
         return system.kernel.stats.snapshot()
 
-    fast, slow = run(False), run(True)
-    assert fast == slow
-    assert fast["pages_migrated"] == 32
-    assert fast["minor_faults"] == 64
+    untraced, traced = run(False), run(True)
+    assert untraced == traced
+    assert untraced["pages_migrated"] == 32
+    assert untraced["minor_faults"] == 64
 
 
 # ------------------------------------------------------------- sampler ----
