@@ -430,16 +430,10 @@ class PolicyDriver:
 
         Base policies mutate placement only inside :meth:`tick`, which
         the lease horizon never crosses, so they are always safe.
-        Policies with asynchronous mutators override this.
+        Policies with asynchronous mutators, or with an access path the
+        eligibility table does not model, override this.
         """
         return True
-
-    def build_serve_table(self, turbo, tenant: _Tenant, node: int):
-        """The request classifier the serve turbo plans from (or
-        ``None`` when the tenant's region defies classification)."""
-        from .servops import build_generic_table
-
-        return build_generic_table(turbo.kernel, tenant, node, REQUEST_BYTES)
 
     # ------------------------------------------------------------- helpers --
     def _hot_misplaced(self, tenant: _Tenant) -> list[tuple[int, int]]:
@@ -684,16 +678,12 @@ class ReplicationPolicy(PolicyDriver):
         if manager is not None:
             yield from manager.collapse(thread, tenant.addr, tenant.nbytes)
 
-    def build_serve_table(self, turbo, tenant: _Tenant, node: int):
-        from .servops import build_replicate_table
-
-        manager = self._managers.get(tenant.spec.name)
-        if manager is None:
-            return None
-        return build_replicate_table(
-            turbo.kernel, manager, tenant, node, REQUEST_BYTES,
-            cache=turbo.table_cache,
-        )
+    def turbo_safe(self, tenant: _Tenant) -> bool:
+        # Reads price through the replica ledger, which the serve
+        # turbo's eligibility table does not model, and writes run
+        # real kernel ops (collapse, mprotect, shootdown): every
+        # request runs per-request.
+        return False
 
 
 #: The raced policies, in the order the experiments report them.
@@ -864,7 +854,12 @@ class KVServer:
 
     # ------------------------------------------------------------- threads ---
     def _tenant_body(self, tenant: _Tenant, t):
-        """Loader thread: arrival, load, serve, departure."""
+        """Loader thread: arrival, load, serve, departure.
+
+        It publishes the policy driver's first wake
+        (``tenant.next_wake``) before any client runs, because every
+        serve-turbo lease is bounded by the tenant's next wake.
+        """
         spec = tenant.spec
         system = self.system
         kernel = t.kernel
@@ -916,7 +911,10 @@ class KVServer:
         parked on one ``timeout_at``) and single per-request
         iterations for whatever the lease refused — which consume the
         exact pre-drawn Zipfian pair the lease stopped at, so the
-        stream's key/coin sequence matches the scalar world's.
+        stream's key/coin sequence matches the scalar world's. While
+        the policy declares the tenant unsafe (an attached autonuma
+        scanner; ``replicate`` always) every request takes the
+        per-request iteration.
         """
         spec = tenant.spec
         kernel = t.kernel
@@ -937,13 +935,7 @@ class KVServer:
                 kernel.stats.serve_slow_requests += 1
                 yield from self._slow_request(tenant, rank, t, key, write)
             return
-        # No policy serves a read faster than an all-local access plus
-        # think — the floor lookahead leans on this lower bound.
-        read_lb = (
-            spec.value_pages * REQUEST_BYTES / kernel.cost.local_stream_bw
-            + spec.think_us
-        )
-        state = turbo.register(tenant, rank, t.node, zipf, read_lb)
+        state = turbo.register(tenant, t.node, zipf)
         while state.done < spec.requests:
             if turbo.lease(state):
                 yield env.timeout_at(state.park)
@@ -955,11 +947,9 @@ class KVServer:
             key = (rank_draw + zipf.offset(env.now)) % spec.keys
             write = coin >= spec.read_fraction
             kernel.stats.serve_slow_requests += 1
-            yield from self._slow_request(tenant, rank, t, key, write, state)
+            yield from self._slow_request(tenant, rank, t, key, write)
 
-    def _slow_request(
-        self, tenant: _Tenant, rank: int, t, key: int, write: bool, state=None
-    ):
+    def _slow_request(self, tenant: _Tenant, rank: int, t, key: int, write: bool):
         """One request on the per-request path (the turbo's reference)."""
         spec = tenant.spec
         kernel = t.kernel
@@ -967,22 +957,6 @@ class KVServer:
         addr = tenant.addr + key * tenant.value_bytes
         start = env.now
         yield from self.policy.access(t, tenant, addr, write)
-        if state is not None:
-            # Every kernel op of this request (for a write: the whole
-            # fence/touch/seal choreography) has now run; this client
-            # cannot start another request — hence cannot mutate
-            # replica state again — before its think timer expires,
-            # plus a full read duration for every pre-drawn read ahead
-            # of its next write. Publishing that lifts the sibling
-            # floor so peers' leases keep committing replica-dependent
-            # reads meanwhile.
-            if state.done >= spec.requests:
-                state.committed_until = float("inf")
-            else:
-                state.committed_until = (
-                    env.now + spec.think_us
-                    + self._turbo.write_lookahead_us(state)
-                )
         if spec.think_us > 0:
             yield t.compute(spec.think_us, tag="serve.think")
         if self._turbo is not None:

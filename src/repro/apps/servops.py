@@ -43,21 +43,22 @@ in the same order as the per-request world:
 A lease stops (and the client falls back to one per-request iteration,
 consuming the *same* pre-drawn Zipfian pair) at the first disqualifier:
 
-* the global gate :func:`serve_turbo_ok` is off (``REPRO_SLOW_PATH=1``,
-  ``force_slow_path``, ``debug_checks``, an attached tracepoint
-  recorder, or an attached ledger sink such as a tracer, whose samples
-  the deferred ``serve.*`` replay would deliver out of engine order);
+* the global gate :func:`serve_turbo_ok` is off
+  (``force_slow_path``, which ``REPRO_SLOW_PATH=1`` sets,
+  ``debug_checks``, an attached tracepoint recorder, or an attached
+  ledger sink such as a tracer, whose samples the deferred ``serve.*``
+  replay would deliver out of engine order);
 * the tenant's policy driver is due to wake inside the horizon — the
   lease never crosses ``tenant.next_wake``, so ticks, heat snapshots
   and time-series samples see exactly the slow world's state;
 * the policy declares the tenant unsafe
-  (:meth:`repro.apps.kvserver.PolicyDriver.turbo_safe` — e.g. an
-  active autonuma scanner mutates PTEs asynchronously);
-* the next request is a write under ``replicate`` (coherence runs real
-  kernel ops), or touches a page that is not present / not writable /
-  mid-write, or a replica-dependent read beyond the *sibling floor*
-  (the earliest instant another client of the same tenant might start
-  a write that collapses replicas);
+  (:meth:`repro.apps.kvserver.PolicyDriver.turbo_safe`): an active
+  autonuma scanner mutates PTEs asynchronously, and ``replicate``
+  prices reads through its replica ledger, which the eligibility
+  table does not model, so every ``replicate`` tenant runs
+  per-request;
+* the next request touches a page that is not present (or not
+  writable, for a write);
 * kernel state changed since the eligibility table was built (watched
   via a tuple of mutation-indicating counters — see
   :meth:`ServeTurbo._epoch`).
@@ -75,20 +76,17 @@ five policies.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
 
-from ..errors import SyscallError
 from ..kernel.access import _access_cost_us
 from ..kernel.pagetable import PTE_PRESENT, PTE_WRITE
-from ..kernel.vma import PROT_READ
 from ..obs import tracepoints
 from ..util.units import PAGE_SIZE
+from .kvserver import REQUEST_BYTES
 
-__all__ = ["serve_turbo_ok", "ServeTurbo", "ServeTable",
-           "build_generic_table", "build_replicate_table"]
+__all__ = ["serve_turbo_ok", "ServeTurbo", "ServeTable", "build_generic_table"]
 
 #: Ledger tag prefixes the controller defers and replays (everything
 #: the serve request paths charge: access, think, coherence, load).
@@ -100,18 +98,6 @@ _REFILL = 1024
 
 #: Cache slot for "this tenant/node has no usable table this epoch".
 _NO_TABLE = object()
-
-#: Adaptive backoff: when this many consecutive leases each commit
-#: fewer than ``_MIN_BATCH`` requests, the client runs the next
-#: ``_COOLDOWN`` requests on the per-request path without attempting a
-#: lease at all. Pure wall-clock heuristic — a skipped lease just means
-#: those requests take the bit-identical slow path — that keeps the
-#: table-build/validation overhead from exceeding its payoff when a
-#: policy's disqualifiers (guarded reads near sibling writes, an
-#: attached sampler) make batches structurally tiny.
-_MIN_BATCH = 2
-_STREAK = 8
-_COOLDOWN = 64
 
 
 def serve_turbo_ok(kernel) -> bool:
@@ -129,8 +115,7 @@ def serve_turbo_ok(kernel) -> bool:
     see them out of engine order.
     """
     return (
-        kernel._fastpath_enabled
-        and not kernel.force_slow_path
+        not kernel.force_slow_path
         and not kernel.debug_checks
         and not tracepoints.tracepoints_enabled()
         and not kernel.ledger.sinks
@@ -143,17 +128,15 @@ class ServeTable:
     ``ok_read`` / ``ok_write`` say whether a key's whole value takes
     the valid-run (fault-free, lock-free) access path; ``cost`` is the
     exact simulated access charge the slow path would compute;
-    ``guard`` marks keys whose cost depends on replica state (commits
-    restricted to the sibling floor); ``heat`` is the pre-resolved
-    profiler record ``(pid, base_addr, npages, node)`` or ``None``.
+    ``heat`` is the pre-resolved profiler record
+    ``(pid, base_addr, npages, node)`` or ``None``.
     """
 
-    __slots__ = ("ok_read", "ok_write", "guard", "cost", "heat")
+    __slots__ = ("ok_read", "ok_write", "cost", "heat")
 
-    def __init__(self, ok_read, ok_write, guard, cost, heat) -> None:
+    def __init__(self, ok_read, ok_write, cost, heat) -> None:
         self.ok_read = ok_read
         self.ok_write = ok_write
-        self.guard = guard
         self.cost = cost
         self.heat = heat
 
@@ -208,227 +191,29 @@ def build_generic_table(kernel, tenant, node: int, bytes_per_page: float):
             heat[int(k)] = (pid, base0 + int(k) * value_bytes, vp, node)
     # Plain lists: the lease loop indexes these one key at a time, and
     # list[int] beats ndarray scalar access at that grain.
-    return ServeTable(ok_read.tolist(), ok_write.tolist(),
-                      [False] * nkeys, cost, heat)
-
-
-def build_replicate_table(kernel, manager, tenant, node: int, bytes_per_page: float,
-                          cache: Optional[dict] = None):
-    """Classify keys under :class:`ReplicationPolicy` reads.
-
-    Only the replica-aware read branch is committable: the value's VMA
-    is read-only and fully present, and the cost replays the branch's
-    own ``effective_locality`` loop term by term. Writes always run
-    slow (collapse + mprotect + shootdown are real kernel ops), so
-    ``ok_write`` stays all-False. Every eligible key is ``guard``-ed —
-    commits stop at the sibling floor — because replica *visibility*
-    itself depends on the VMA layout, which a sibling write perturbs
-    mid-request (see the inline comment at the guard assignment).
-
-    ``cache`` (keyed by ``(spec name, node)``) survives across the
-    caller's epoch bumps: the table is a pure function of the segment
-    layout (the ``sig`` tuple), per-page presence and home nodes, and
-    the replica ledger (stamped by ``manager.version``). Presence and
-    home can only change through page faults, migration, or swap —
-    every one of which bumps a monotonic :class:`KernelStats` counter —
-    so the hit check compares the layout signature plus a stamp of
-    (version, fault/migration/swap counters) and skips the page-table
-    reads entirely. Sibling writes bump only ``prot_faults``/TLB
-    counters (deliberately *not* in the stamp: a sealed write restores
-    the exact flags it found), and another tenant's replication churns
-    only allocator totals, so the cache survives both.
-    """
-    spec = tenant.spec
-    nkeys, vp = spec.keys, spec.value_pages
-    space = tenant.process.addr_space
-    pid = tenant.process.pid
-    machine = kernel.machine
-    bw = kernel.cost.local_stream_bw
-    value_bytes = tenant.value_bytes
-    npages = nkeys * vp
-    # A write in progress has mprotect-split the region: the tail VMA's
-    # fresh ``start`` hides every replica keyed under the old one, and
-    # the seal will merge it back — classifying from this *transient*
-    # state would bake wrong (and unguarded) costs into commits that
-    # outlive it. Refuse; the seal's TLB flush bumps the epoch, so the
-    # next lease rebuilds from the settled region.
-    try:
-        segments = list(space.range_segments(tenant.addr, tenant.nbytes))
-    except SyscallError:
-        return None
-    for seg_vma, _, _ in segments:
-        if seg_vma.prot != PROT_READ:
-            return None
-    sig = tuple((vma.start, first, stop) for vma, first, stop in segments)
-    stats = kernel.stats
-    stamp = (
-        manager.version,
-        stats.minor_faults,
-        stats.nt_faults,
-        stats.cow_faults,
-        stats.pages_migrated,
-        stats.pages_swapped_out,
-        stats.pages_swapped_in,
-    )
-    cache_key = (spec.name, node)
-    if cache is not None:
-        hit = cache.get(cache_key)
-        if hit is not None and hit[0] == sig and hit[1] == stamp:
-            return hit[2]
-    # One pass over the (few) segments replaces a resolve() per key:
-    # region-offset arrays of presence and home node, plus a map from
-    # each VMA's identity to its region offset for the replica sweep.
-    present = np.zeros(npages, dtype=bool)
-    home = np.full(npages, -1, dtype=np.int64)
-    contained = np.zeros(nkeys, dtype=bool)
-    by_start: dict[int, tuple] = {}
-    base_addr = tenant.addr
-    for vma, first, stop in segments:
-        off = (vma.addr_of_page(first) - base_addr) // PAGE_SIZE
-        count = stop - first
-        flags = np.asarray(vma.pt.flags[first:stop])
-        present[off:off + count] = (flags & PTE_PRESENT) == PTE_PRESENT
-        home[off:off + count] = np.asarray(vma.pt.node[first:stop])
-        # keys whose whole value lies inside this one VMA segment (the
-        # scalar path's ``idx + vp <= vma.npages`` containment test)
-        k_lo = -(-off // vp)
-        k_hi = (off + count) // vp
-        if k_hi > k_lo:
-            contained[k_lo:k_hi] = True
-        by_start[vma.start] = (first, stop, off)
-    # Effective node a reader on ``node`` observes per page: the home
-    # node, unless the page is replicated — then the reader's node if
-    # it holds a copy, else the nearest copy (exactly replica_nodes +
-    # the nearest-replica rule of ``effective_locality``). The hot
-    # case (reader holds a copy) needs only two membership tests; the
-    # set — whose iteration order decides hop-distance ties — is built
-    # exactly as ``replica_nodes`` builds it, and only when needed.
-    # The flat replica ledger accumulates entries keyed under split-era
-    # VMA starts that no current segment matches; the manager's
-    # ``_by_start`` index walks only the entries this layout can see.
-    # Per-page results are order-independent — (start, idx) keys are
-    # unique, so no page is assigned twice.
-    eff = home.copy()
-    index = manager._by_start
-    for start, seg in by_start.items():
-        cells = index.get(start)
-        if not cells:
-            continue
-        first, stop, off = seg
-        for idx, cell in cells.items():
-            if idx < first or idx >= stop:
-                continue
-            p = off + (idx - first)
-            h = int(eff[p])
-            if node == h or node in cell:
-                eff[p] = node
-            else:
-                nodes = set(cell)
-                if h >= 0:
-                    nodes.add(h)
-                eff[p] = min(nodes, key=lambda n: machine.hops(node, n))
-    eff_mat = eff.reshape(nkeys, vp)
-    ok_read = (
-        contained
-        & present.reshape(nkeys, vp).all(axis=1)
-    )
-    # EVERY eligible key is guarded, not just visibly replicated ones:
-    # the replica ledger is keyed by ``(vma.start, page idx)``, and
-    # entries recorded while the region was split by an earlier write
-    # survive under their split-era starts. They are invisible in the
-    # sealed layout this table was built from — but a sibling write's
-    # mprotect recreates those very VMA boundaries mid-request, and the
-    # slow path's resolve-then-lookup suddenly sees them again. A key
-    # with no replicas *in this layout* can therefore still price
-    # differently inside a sibling's write window, so commits must
-    # never overlap one: the sibling floor guarantees exactly that
-    # (guard == ok_read in the ServeTable below).
-    row = machine.numa_factor_row(node)
-    # Uniform-placement keys (every page effectively on one node) cost
-    # a single term: pages * bpp * factor / bw with pages == float(vp)
-    # exactly (it accumulates as vp additions of 1.0 in the scalar
-    # path). Vectorize those; mixed keys replay the weights dict.
-    eff_lo = eff_mat.min(axis=1)
-    uniform = eff_mat.max(axis=1) == eff_lo
-    row_arr = np.asarray(row, dtype=np.float64)
-    pb = float(vp) * bytes_per_page
-    cost_vec = np.zeros(nkeys, dtype=np.float64)
-    u = ok_read & uniform
-    cost_vec[u] = pb * row_arr[eff_lo[u]] / bw
-    cost = cost_vec.tolist()
-    # The profiler record for key k is layout-independent — (pid, value
-    # base address, pages, reader node) — so one full list per (tenant,
-    # node) serves every rebuild. Entries exist even for ineligible
-    # keys; harmless, the lease only reads records of committed keys.
-    hkey = ("heat", spec.name, node)
-    heat = cache.get(hkey) if cache is not None else None
-    if heat is None:
-        heat = [(pid, base_addr + k * value_bytes, vp, node)
-                for k in range(nkeys)]
-        if cache is not None:
-            cache[hkey] = heat
-    eff_list = eff.tolist()
-    for k in np.flatnonzero(ok_read & ~uniform):
-        k = int(k)
-        base = k * vp
-        # Replay effective_locality's weights dict exactly: counts
-        # accumulate 1.0 per page, keys in first-occurrence order.
-        order: list[int] = []
-        counts: dict[int, float] = {}
-        for p in range(base, base + vp):
-            e = eff_list[p]
-            if e in counts:
-                counts[e] += 1.0
-            else:
-                counts[e] = 1.0
-                order.append(e)
-        total = 0.0
-        for dst in order:
-            total += counts[dst] * bytes_per_page * row[dst] / bw
-        cost[k] = float(total)
-    ok_list = ok_read.tolist()
-    table = ServeTable(ok_list, [False] * nkeys, ok_list, cost, heat)
-    if cache is not None:
-        cache[cache_key] = (sig, stamp, table)
-    return table
+    return ServeTable(ok_read.tolist(), ok_write.tolist(), cost, heat)
 
 
 class _ClientLease:
     """Per-client planning state: the pre-drawn Zipfian pair buffer and
-    the commit cursor other clients' floors read."""
+    the commit cursor."""
 
-    __slots__ = ("tenant", "rank", "node", "zipf", "read_lb_us",
-                 "ranks", "coins", "writes", "wpos", "pos", "done", "park",
-                 "committed_until", "streak", "cooldown")
+    __slots__ = ("tenant", "node", "zipf", "ranks", "coins", "writes",
+                 "pos", "done", "park")
 
-    def __init__(self, tenant, rank: int, node: int, zipf,
-                 read_lb_us: float = 0.0) -> None:
+    def __init__(self, tenant, node: int, zipf) -> None:
         self.tenant = tenant
-        self.rank = rank
         self.node = node
         self.zipf = zipf
-        #: lower bound on one read request's duration (all-local access
-        #: plus think) — no policy can serve a read faster
-        self.read_lb_us = read_lb_us
         # Pre-drawn pair buffers as plain lists: the lease loop reads
         # one element per planned request, and list indexing beats
         # per-element ndarray access severalfold at that grain.
         self.ranks: list[int] = []
         self.coins: list[float] = []
         self.writes: list[bool] = []  #: coin >= read_fraction, per pair
-        #: ascending positions of the write pairs — the write lookahead
-        #: is a binary search, not a buffer scan
-        self.wpos: list[int] = []
         self.pos = 0
         self.done = 0  #: requests committed or executed so far
         self.park = 0.0  #: timeout_at deadline after a successful lease
-        #: no *replica-mutating* request from this client starts before
-        #: this instant — siblings' replica-dependent commits are
-        #: bounded by it (reads never mutate replica state, so the
-        #: pre-drawn coin buffer extends it past the next park)
-        self.committed_until = 0.0
-        self.streak = 0  #: consecutive under-``_MIN_BATCH`` leases
-        self.cooldown = 0  #: requests left to run slow without leasing
 
 
 class ServeTurbo:
@@ -446,12 +231,7 @@ class ServeTurbo:
         self._obs_q: list[tuple] = []
         #: every serve.* ledger add, live or planned: (t_us, seq, tag, us)
         self._ledger_log: list[tuple] = []
-        self._clients: dict[str, list[_ClientLease]] = {}
         self._tables: dict[tuple, object] = {}
-        #: cross-epoch table cache for builders that can validate their
-        #: own inputs (see ``build_replicate_table``); never cleared —
-        #: entries self-invalidate by comparing live kernel state
-        self.table_cache: dict[tuple, tuple] = {}
         self._epoch_seen: Optional[tuple] = None
         self._finalized = False
         self.kernel.ledger.begin_defer(SERVE_TAG_PREFIXES, self._ledger_sink)
@@ -466,10 +246,9 @@ class ServeTurbo:
     def _epoch(self) -> tuple:
         """A tuple that changes whenever kernel state a table depends on
         could have: faults, migrations, swap-ins, next-touch marks,
-        TLB activity (mprotect fences, replica collapses) and frame
-        allocations (replica creation). Monotonic counters only, so
-        comparing tuples is exact; a bump from an unrelated tenant just
-        causes a cheap rebuild.
+        TLB activity (mprotect fences) and frame allocations. Monotonic
+        counters only, so comparing tuples is exact; a bump from an
+        unrelated tenant just causes a cheap rebuild.
         """
         stats = self.kernel.stats
         allocs = 0
@@ -488,35 +267,15 @@ class ServeTurbo:
             stats.tlb_local_flushes,
         )
 
-    def register(self, tenant, rank: int, node: int, zipf,
-                 read_lb_us: float = 0.0) -> _ClientLease:
+    def register(self, tenant, node: int, zipf) -> _ClientLease:
         """Create the lease state for one client stream."""
-        state = _ClientLease(tenant, rank, node, zipf, read_lb_us)
-        self._clients.setdefault(tenant.spec.name, []).append(state)
-        return state
-
-    def write_lookahead_us(self, state: _ClientLease) -> float:
-        """How long after its cursor instant this client provably
-        cannot start a write: every pre-drawn *read* ahead of the
-        cursor must complete first, and no read finishes faster than
-        ``read_lb_us``. Reads never mutate replica state, so sibling
-        floors advance past the next park by this much."""
-        size = len(state.coins)
-        pos = state.pos
-        if pos >= size:
-            return 0.0
-        wpos = state.wpos
-        j = bisect_left(wpos, pos)
-        nxt = wpos[j] if j < len(wpos) else size
-        return (nxt - pos) * state.read_lb_us
+        return _ClientLease(tenant, node, zipf)
 
     def _refill(self, state: _ClientLease, need: int) -> None:
         ranks, coins = state.zipf.pairs(min(int(need), _REFILL))
-        wmask = coins >= state.tenant.spec.read_fraction
         state.ranks = ranks.tolist()
         state.coins = coins.tolist()
-        state.writes = wmask.tolist()
-        state.wpos = np.flatnonzero(wmask).tolist()
+        state.writes = (coins >= state.tenant.spec.read_fraction).tolist()
         state.pos = 0
 
     def take_pair(self, state: _ClientLease) -> tuple[int, float]:
@@ -541,36 +300,12 @@ class ServeTurbo:
         the per-request path). On success ``state.park`` holds the
         simulated completion time of the last committed request.
         """
-        now = self.env.now
-        # The floor this client projects while it runs the next request:
-        # not bare ``now`` — every pre-drawn *read* ahead of the cursor
-        # must finish (≥ read_lb_us each) before its next write can
-        # start, so siblings' guarded commits need not stall just
-        # because this client is mid-read. Without the lookahead here,
-        # one slow request forces every overlapping sibling lease to
-        # zero, which forces *their* requests slow — a mutual slow-lock.
-        state.committed_until = now + self.write_lookahead_us(state)
-        if state.cooldown > 0:
-            # Backed off: recent leases were too small to pay for their
-            # own planning overhead. Run slow, don't touch the tables.
-            state.cooldown -= 1
-            return 0
-        n = self._lease(state, now)
-        if n < _MIN_BATCH:
-            state.streak += 1
-            if state.streak >= _STREAK:
-                state.streak = 0
-                state.cooldown = _COOLDOWN
-        else:
-            state.streak = 0
-        return n
-
-    def _lease(self, state: _ClientLease, now: float) -> int:
         kernel = self.kernel
         tenant = state.tenant
         spec = tenant.spec
         if not serve_turbo_ok(kernel):
             return 0
+        now = self.env.now
         wake = tenant.next_wake
         if wake is None or wake <= now:
             return 0
@@ -584,13 +319,12 @@ class ServeTurbo:
         slot = (spec.name, state.node)
         table = self._tables.get(slot)
         if table is None:
-            table = policy.build_serve_table(self, tenant, state.node)
+            table = build_generic_table(kernel, tenant, state.node, REQUEST_BYTES)
             self._tables[slot] = table if table is not None else _NO_TABLE
         if table is None or table is _NO_TABLE:
             return 0
         ok_read = table.ok_read
         ok_write = table.ok_write
-        guard = table.guard
         cost_of = table.cost
         heat_of = table.heat
         heat_on = self._heat is not None
@@ -604,7 +338,6 @@ class ServeTurbo:
         heat_q = self._heat_q
         obs_push = heapq.heappush
         obs_q = self._obs_q
-        floor: Optional[float] = None
         # Hoist the rotation: without drift it is identically 0 (and
         # ranks are pre-clipped, so key == rank); with drift, ``t`` is
         # monotone within the lease, so the offset only changes when
@@ -630,21 +363,8 @@ class ServeTurbo:
             else:
                 key = ranks[pos]
             write = writes[pos]
-            if write:
-                if not ok_write[key]:
-                    break
-            else:
-                if not ok_read[key]:
-                    break
-                if guard[key]:
-                    if floor is None:
-                        siblings = self._clients[spec.name]
-                        floor = min(
-                            (s.committed_until for s in siblings if s is not state),
-                            default=float("inf"),
-                        )
-                    if t >= floor:
-                        break
+            if not (ok_write[key] if write else ok_read[key]):
+                break
             cost = cost_of[key]
             t1 = t + cost
             t2 = t1 + think if think > 0.0 else t1
@@ -685,10 +405,6 @@ class ServeTurbo:
             return 0
         state.done += n
         state.park = t
-        if state.done >= spec.requests:
-            state.committed_until = float("inf")
-        else:
-            state.committed_until = t + self.write_lookahead_us(state)
         stats = kernel.stats
         stats.serve_turbo_batches += 1
         stats.serve_turbo_requests += n

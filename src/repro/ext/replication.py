@@ -36,19 +36,10 @@ class ReplicationManager:
         self.kernel: Kernel = process.kernel
         # (vma.start, page_idx) -> {node: frame}
         self._replicas: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
-        # vma.start -> {page_idx: cell} — the same (non-empty) cells as
-        # ``_replicas``, grouped by start so range scans touch only the
-        # entries a given VMA layout can see (the flat dict accumulates
-        # entries keyed under long-merged-away split-era starts)
-        self._by_start: dict[int, dict[int, dict[int, int]]] = {}
         #: replicas created over the manager's lifetime
         self.replicas_created = 0
         #: replicas dropped by collapses
         self.replicas_collapsed = 0
-        #: bumped whenever ``_replicas`` gains or loses a copy — a pure
-        #: host-side stamp (no simulated effect) that lets callers cache
-        #: anything derived from the replica ledger across reads
-        self.version = 0
 
     # ------------------------------------------------------------ queries ----
     def replica_nodes(self, vma: Vma, idx: int) -> set[int]:
@@ -103,12 +94,6 @@ class ReplicationManager:
                         if data is not None:
                             kernel.page_data[frame] = data.copy()
                     cell[node] = int(frame)
-                    # Index and stamp *before* the yield: a generator can
-                    # be abandoned (or killed by a failed allocation on a
-                    # later page) at any yield point, and the copies made
-                    # so far are already committed state.
-                    self._by_start.setdefault(vma.start, {})[idx] = cell
-                    self.version += 1
                     created += 1
                     yield kernel.copy_pages_event(home, node, float(PAGE_SIZE), self.process)
         self.replicas_created += created
@@ -126,12 +111,6 @@ class ReplicationManager:
                 cell = self._replicas.pop((vma.start, idx), None)
                 if not cell:
                     continue
-                group = self._by_start.get(vma.start)
-                if group is not None:
-                    group.pop(idx, None)
-                    if not group:
-                        del self._by_start[vma.start]
-                self.version += 1
                 frames = np.asarray(list(cell.values()), dtype=np.int64)
                 kernel.release_frames(frames)
                 dropped += frames.size

@@ -118,12 +118,11 @@ class Kernel:
         self._next_pid = 1
         self.processes: list[SimProcess] = []
         #: Wall-clock fast paths (turbo faults, merged charges) are on
-        #: by default; ``REPRO_SLOW_PATH=1`` in the environment — or
-        #: setting :attr:`force_slow_path` on an instance — forces the
+        #: by default; ``REPRO_SLOW_PATH=1`` in the environment at
+        #: construction — or setting this on an instance — forces the
         #: per-page/per-charge reference paths (the equivalence suite
         #: diffs the two). Simulated results are identical either way.
-        self._fastpath_enabled = os.environ.get("REPRO_SLOW_PATH", "") not in ("1", "true", "yes")
-        self.force_slow_path = False
+        self.force_slow_path = os.environ.get("REPRO_SLOW_PATH", "") in ("1", "true", "yes")
         #: Optional access profiler (:class:`repro.kernel.heat.HeatTracker`)
         #: the touch paths report resident accesses into. ``None`` (the
         #: default) keeps the hot paths at one attribute test per run;
@@ -185,8 +184,7 @@ class Kernel:
         every replay hands them each charge's simulated instant.
         """
         return (
-            self._fastpath_enabled
-            and not self.force_slow_path
+            not self.force_slow_path
             and not self.debug_checks
             and self.env.idle
             and not tracepoints.tracepoints_enabled()

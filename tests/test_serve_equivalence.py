@@ -23,32 +23,56 @@ from repro.apps.kvserver import (
     make_policy,
 )
 from repro.experiments.common import fresh_system
-from repro.experiments.fig_serve import race
 from repro.obs.metrics import Histogram
 from repro.obs.telemetry import stats_snapshot
 
 POLICIES = ("static", "move_pages", "nexttouch", "autonuma", "replicate")
-REQUESTS = 240
+TENANTS, CLIENTS, REQUESTS = 3, 2, 240
+ISSUED = TENANTS * CLIENTS * REQUESTS
 
 
 def _race(policy, slow, monkeypatch):
+    """One race at ``fig_serve.race``'s defaults, built here so the
+    test can read the kernel afterwards. Returns ``(kernel, stats)``."""
     if slow:
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
     else:
         monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-    return race(policy, requests=REQUESTS, seed=20260809)
+    system = fresh_system()
+    specs = default_tenants(
+        TENANTS, system.machine.num_nodes, clients=CLIENTS, requests=REQUESTS
+    )
+    server = KVServer(
+        system, specs, make_policy(policy),
+        gated=policy != "static", seed=20260809,
+    )
+    return system.kernel, server.run()
 
 
 # ------------------------------------------------- end-to-end, per policy ----
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_turbo_serve_is_bit_identical_to_slow_path(policy, monkeypatch):
-    """The full serve manifest — percentiles, SLO summaries, telemetry
-    series, ledger — is byte-identical with the turbo path on or off
-    (``REPRO_SLOW_PATH=1``)."""
-    turbo = _race(policy, False, monkeypatch).to_dict()
-    slow = _race(policy, True, monkeypatch).to_dict()
-    assert json.dumps(turbo, sort_keys=True) == json.dumps(slow, sort_keys=True)
+    """The full serve manifest (percentiles, SLO summaries, telemetry
+    series), the ledger's totals and counts, and the kernel's
+    ``stats_snapshot`` are identical with the turbo path on or off
+    (``REPRO_SLOW_PATH=1``). Both worlds serve every issued request,
+    split between batched and per-request; ``replicate`` batches
+    none."""
+    kernel_t, turbo = _race(policy, False, monkeypatch)
+    kernel_s, slow = _race(policy, True, monkeypatch)
+    assert json.dumps(turbo.to_dict(), sort_keys=True) == json.dumps(
+        slow.to_dict(), sort_keys=True
+    )
+    assert dict(kernel_t.ledger.totals) == dict(kernel_s.ledger.totals)
+    assert dict(kernel_t.ledger.counts) == dict(kernel_s.ledger.counts)
+    assert stats_snapshot(kernel_t) == stats_snapshot(kernel_s)
+    for kernel in (kernel_t, kernel_s):
+        variant = kernel.stats.variant_snapshot()
+        assert variant["serve_turbo_requests"] + variant["serve_slow_requests"] == ISSUED
+    assert kernel_s.stats.serve_turbo_requests == 0
+    if policy == "replicate":
+        assert kernel_t.stats.serve_turbo_requests == 0
 
 
 def _serve_static(slow, monkeypatch):

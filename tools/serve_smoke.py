@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Serving smoke test: one tiny KV policy race, every artifact parsed.
 
-Runs ``repro-experiments serve`` with a 2-tenant, short-stream mix and
-the next-touch policy into a temporary directory — once with the serve
-turbo path engaged and once forced slow (``REPRO_SLOW_PATH=1``) — then
+Runs ``repro-experiments serve --json`` with a 2-tenant, short-stream
+mix and the next-touch policy into a temporary directory — once on the
+default path and once forced slow (``REPRO_SLOW_PATH=1``) — then
 asserts:
 
 * both races complete (CLI exit 0) and render a result table;
@@ -14,17 +14,25 @@ asserts:
   what the SLO gate can even observe);
 * per-tenant stats are present and every tenant completed its
   requests;
-* the turbo and forced-slow manifests are **byte-identical** once the
-  host-dependent fields (wall time, argv paths) are dropped — every
+* each manifest's ``kernel_stats`` splits the 800 issued requests
+  between batched and per-request
+  (``serve_turbo_requests + serve_slow_requests``);
+* the default and forced-slow manifests are **byte-identical** once
+  the host-dependent fields (wall time, argv paths) are dropped — every
   simulated observable (latency percentiles, SLO summaries, kernel
-  stats, ledger, telemetry series) must not care which path served
-  the requests.
+  stats, ledger, telemetry series) must not care which path ran.
+
+What the diff compares: ``--json`` attaches a tracer, a ledger sink,
+so the serve batching layer (``repro.apps.servops``) declines and both
+runs serve every request per-request. The diff therefore pins the
+kernel fast paths under ``--json`` against ``REPRO_SLOW_PATH=1``; the
+batched serve path is pinned by ``tests/test_serve_equivalence.py``.
 
 This is ``make serve-smoke``, part of ``make verify`` — the cheap
 end-to-end proof that the serving stack stays wired: KV server ->
 policy driver -> histograms/SLO gate -> CLI manifest, and that the
-batching layer (``repro.apps.servops``) never leaks into simulated
-results. See docs/serving.md.
+kernel fast paths never leak into simulated results. See
+docs/serving.md.
 """
 
 from __future__ import annotations
@@ -39,9 +47,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-#: Host-dependent manifest fields, excluded from the turbo-vs-slow
+#: Host-dependent manifest fields, excluded from the fast-vs-slow
 #: diff: wall time is wall time, and argv embeds the temp directory.
 HOST_FIELDS = ("wall_time_s", "argv")
+
+#: Requests the race issues: 2 tenants x 2 clients x 200 requests.
+ISSUED = 2 * 2 * 200
 
 
 def fail(msg: str) -> None:
@@ -60,7 +71,7 @@ def run_race(out: Path, *, slow: bool) -> dict:
     env["PYTHONPATH"] = (
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
-    label = "forced-slow" if slow else "turbo"
+    label = "forced-slow" if slow else "default"
     proc = subprocess.run(
         [
             sys.executable,
@@ -108,8 +119,8 @@ def check_serve_block(manifest: dict) -> dict:
     if set(policies) != {"nexttouch"}:
         fail(f"expected exactly the raced policy, got {sorted(policies)}")
     stats = policies["nexttouch"]
-    if stats["requests"] != 2 * 2 * 200:
-        fail(f"expected 800 requests, got {stats['requests']}")
+    if stats["requests"] != ISSUED:
+        fail(f"expected {ISSUED} requests, got {stats['requests']}")
     if not stats["throughput_rps"] or stats["throughput_rps"] <= 0:
         fail(f"non-positive throughput: {stats['throughput_rps']!r}")
     p99 = stats["latency_us"]["p99"]
@@ -123,6 +134,10 @@ def check_serve_block(manifest: dict) -> dict:
             fail(f"tenant {name}: {tstats['requests']} != 400 requests")
         if tstats["latency_us"]["p99"] is None:
             fail(f"tenant {name}: empty p99 reservoir")
+    kstats = manifest["kernel_stats"]
+    served = kstats["serve_turbo_requests"] + kstats["serve_slow_requests"]
+    if served != ISSUED:
+        fail(f"kernel_stats split {served} requests, expected {ISSUED}")
     return stats
 
 
@@ -135,28 +150,28 @@ def normalize(manifest: dict) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="serve_smoke.") as tmp:
-        turbo = run_race(Path(tmp) / "turbo", slow=False)
+        fast = run_race(Path(tmp) / "fast", slow=False)
     with tempfile.TemporaryDirectory(prefix="serve_smoke.") as tmp:
         slow = run_race(Path(tmp) / "slow", slow=True)
 
-    stats = check_serve_block(turbo)
+    stats = check_serve_block(fast)
     check_serve_block(slow)
 
-    turbo_n, slow_n = normalize(turbo), normalize(slow)
-    if json.dumps(turbo_n, sort_keys=True) != json.dumps(slow_n, sort_keys=True):
+    fast_n, slow_n = normalize(fast), normalize(slow)
+    if json.dumps(fast_n, sort_keys=True) != json.dumps(slow_n, sort_keys=True):
         differing = sorted(
             key
-            for key in set(turbo_n) | set(slow_n)
-            if json.dumps(turbo_n.get(key), sort_keys=True)
+            for key in set(fast_n) | set(slow_n)
+            if json.dumps(fast_n.get(key), sort_keys=True)
             != json.dumps(slow_n.get(key), sort_keys=True)
         )
-        fail(f"turbo vs forced-slow manifests differ in: {', '.join(differing)}")
+        fail(f"default vs forced-slow manifests differ in: {', '.join(differing)}")
 
     p99 = stats["latency_us"]["p99"]
     print(
         f"serve-smoke: OK ({stats['requests']} requests, "
         f"{stats['throughput_rps']:.0f} req/s, p99 {p99:.2f} us, "
-        "turbo == forced-slow)"
+        "kernel fast paths under --json == REPRO_SLOW_PATH=1)"
     )
     return 0
 
