@@ -13,9 +13,10 @@ test:
 	$(PYTHON) -m pytest tests/ -q
 
 # The default local verification path: the tier-1 suite, the docs
-# linter, the end-to-end tracing and serving smoke tests, and the host
-# benchmark's tiny-size golden-digest check (bench/golden.json).
-verify: test docs-check trace-smoke serve-smoke telemetry-smoke
+# linter, the quick differential fuzz run, the end-to-end tracing and
+# serving smoke tests, and the host benchmark's tiny-size golden-digest
+# check (bench/golden.json).
+verify: test docs-check fuzz-quick trace-smoke serve-smoke telemetry-smoke
 	$(PYTHON) -m pytest bench/ -q
 
 # Differential fuzzing: random-but-seeded syscall workloads run against
@@ -25,8 +26,9 @@ verify: test docs-check trace-smoke serve-smoke telemetry-smoke
 fuzz:
 	$(PYTHON) -m repro.check --runs 600 --ops 50 --selftest --out results/fuzz
 
-# The tier-1-sized variant (~10s): 200 sequences plus the shrinker
+# The tier-1-sized variant (~2s): 200 sequences plus the shrinker
 # selftest (injects a fault, asserts it shrinks to a tiny reproducer).
+# Part of `make verify`.
 fuzz-quick:
 	$(PYTHON) -m repro.check --runs 200 --ops 25 --selftest --out results/fuzz
 

@@ -1,12 +1,18 @@
 """Kernel-state invariant checkers.
 
-Each invariant is a named function walking *live* kernel state and
+Each invariant is a named function reading *live* kernel state and
 returning a list of human-readable problem descriptions (empty when the
 state is consistent). The registry :data:`INVARIANTS` maps names to
 checkers; :func:`check_kernel` runs any subset and returns structured
 :class:`Violation` records, and :func:`assert_invariants` raises
 :class:`InvariantViolation` — the form the pytest fixture and the
 ``--check`` CLI flag use.
+
+A sweep reads the page tables once: :func:`check_kernel` builds one
+:class:`KernelView` (every VMA's PTE columns concatenated) and hands it
+to each checker, so the page-level checks run as whole-array NumPy
+expressions rather than once per VMA. A segment-offset table maps an
+offending page back to its ``proc:vma`` for the message.
 
 The invariant names are part of the documented contract
 (``docs/correctness.md`` lists them; ``tools/docs_check.py`` verifies
@@ -23,11 +29,13 @@ the two stay in sync):
   lifetime alloc/free delta, the allocation bitmap, and the number of
   distinct frames actually held by mappings;
 * ``cow_write_exclusion`` — no private mapping holds a hardware WRITE
-  bit on a frame that is still shared;
+  bit on a frame that is still shared, nor a COW flag on a page
+  without a frame;
 * ``numastat_balance`` — ``numastat`` rows are non-negative and misses
   on one node are matched by foreigns on another;
-* ``ledger_consistency`` — ledger totals/counts agree and kernel event
-  counters never go negative;
+* ``ledger_consistency`` — ledger totals/counts agree, kernel event
+  counters never go negative, and the per-reason migration counts sum
+  to ``pages_migrated``;
 * ``swap_consistency`` — swap slots are referenced at most once, never
   by a populated page, and the device's used-slot count matches the
   page tables.
@@ -35,26 +43,27 @@ the two stay in sync):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..kernel.core import Kernel, SimProcess
-from ..kernel.frames import node_of_frame
+from ..kernel.core import Kernel
+from ..kernel.frames import NODE_STRIDE_SHIFT, node_of_frame
 from ..kernel.pagetable import (
     PTE_COW,
     PTE_NEXTTOUCH,
     PTE_PRESENT,
     PTE_WRITE,
 )
-from ..kernel.vma import Vma
 
 __all__ = [
     "Violation",
     "InvariantViolation",
+    "KernelView",
     "INVARIANTS",
     "check_kernel",
     "check_system",
@@ -82,40 +91,111 @@ class InvariantViolation(SimulationError):
         super().__init__(f"{len(self.violations)} invariant violation(s):\n{lines}")
 
 
-#: name -> checker(kernel) -> list of problem strings
-INVARIANTS: dict[str, Callable[[Kernel], list[str]]] = {}
+def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
 
-def _invariant(fn: Callable[[Kernel], list[str]]) -> Callable[[Kernel], list[str]]:
+class KernelView:
+    """One read of every page table, shared by the checkers of a sweep.
+
+    ``frame``, ``node``, ``flags`` and ``swap`` are the PTE columns of
+    every ``(proc, vma)`` concatenated in walk order (``swap`` is -1
+    where a VMA has no swap table); ``private`` marks the pages of
+    private VMAs. VMA ``i`` (a *segment*) starts at page
+    ``offsets[i]``. Checkers that need no page data read ``kernel``.
+    """
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self._vmas = [(proc, vma) for proc in kernel.processes for vma in proc.addr_space.vmas]
+        pts = [vma.pt for _proc, vma in self._vmas]
+        sizes = [pt.frame.size for pt in pts]
+        self.offsets = [0, *accumulate(sizes)][:-1]
+        self.frame = _cat([pt.frame for pt in pts], np.int64)
+        self.node = _cat([pt.node for pt in pts], np.int16)
+        self.flags = _cat([pt.flags for pt in pts], np.uint16)
+        shared = np.array([vma.shared for _proc, vma in self._vmas], dtype=bool)
+        self.private = ~np.repeat(shared, sizes)
+        self.swap = np.full(self.frame.size, -1, dtype=np.int64)
+        for pt, start, size in zip(pts, self.offsets, sizes):
+            table = getattr(pt, "_swap_slots", None)
+            if table is not None and table.size == size:  # vma_layout flags a mismatch
+                self.swap[start : start + size] = table
+
+    # ------------------------------------------------------------ segments --
+    def offenders(self, mask: np.ndarray) -> list[int]:
+        """Segments holding a page where the per-page ``mask`` is set."""
+        pages = np.flatnonzero(mask)
+        return np.unique(np.searchsorted(self.offsets, pages, side="right") - 1).tolist()
+
+    def name(self, seg: int) -> str:
+        """``proc:vma`` label of segment ``seg`` for messages."""
+        proc, vma = self._vmas[seg]
+        return f"{proc.name}:{vma.name or hex(vma.start)}"
+
+    def pages(self, seg: int) -> slice:
+        """The view's index range of segment ``seg``."""
+        start = self.offsets[seg]
+        return slice(start, start + self._vmas[seg][1].pt.frame.size)
+
+    # -------------------------------------------------------- frame holders --
+    @cached_property
+    def holders(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every distinct held frame id (sorted) and how many references
+        it has: page-table mappings plus file page caches."""
+        cached = chain.from_iterable(file.cache.values() for file in self.kernel.files)
+        held = np.concatenate([self.frame[self.frame >= 0], np.fromiter(cached, np.int64)])
+        return np.unique(held, return_counts=True)
+
+    @cached_property
+    def refs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel's refcount table as ``(frame ids, counts)``."""
+        table = self.kernel.frame_refs
+        return (
+            np.fromiter(table.keys(), np.int64, len(table)),
+            np.fromiter(table.values(), np.int64, len(table)),
+        )
+
+    @cached_property
+    def recorded(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(refcount, held)``: each held frame's refcount in the
+        kernel's table (1 when it has no entry), and whether each table
+        entry names a frame that something holds."""
+        frames, counts = self.holders
+        ref_frames, ref_counts = self.refs
+        at = np.searchsorted(frames, ref_frames)
+        held = np.append(frames, -1)[at] == ref_frames
+        refcount = np.ones_like(counts)
+        refcount[at[held]] = ref_counts[held]
+        return refcount, held
+
+
+#: name -> checker(view) -> list of problem strings
+INVARIANTS: dict[str, Callable[[KernelView], list[str]]] = {}
+
+
+def _invariant(fn: Callable[[KernelView], list[str]]) -> Callable[[KernelView], list[str]]:
     INVARIANTS[fn.__name__] = fn
     return fn
 
 
-def _iter_vmas(kernel: Kernel) -> Iterator[tuple[SimProcess, Vma]]:
-    for proc in kernel.processes:
-        for vma in proc.addr_space.vmas:
-            yield proc, vma
-
-
-def _frame_holders(kernel: Kernel) -> Counter[int]:
-    """frame id -> number of references held (mappings + page caches)."""
-    holders: Counter[int] = Counter()
-    for _proc, vma in _iter_vmas(kernel):
-        frames = vma.pt.frame[vma.pt.frame >= 0]
-        for f in frames:
-            holders[int(f)] += 1
-    for file in kernel.files:
-        for f in file.cache.values():
-            holders[int(f)] += 1
-    return holders
+def _blame(view: KernelView, checks: Iterable[tuple[np.ndarray, str]]) -> list[str]:
+    """``"proc:vma: text"`` for every VMA holding a page of each
+    ``(mask, text)`` condition."""
+    return [
+        f"{view.name(seg)}: {text}"
+        for mask, text in checks
+        if mask.any()
+        for seg in view.offenders(mask)
+    ]
 
 
 # ------------------------------------------------------------------ checkers --
 @_invariant
-def vma_layout(kernel: Kernel) -> list[str]:
+def vma_layout(view: KernelView) -> list[str]:
     """VMA lists sorted, non-overlapping, aligned and index-synced."""
     problems: list[str] = []
-    for proc in kernel.processes:
+    for proc in view.kernel.processes:
         space = proc.addr_space
         vmas = space.vmas
         for a, b in zip(vmas, vmas[1:]):
@@ -137,84 +217,78 @@ def vma_layout(kernel: Kernel) -> list[str]:
 
 
 @_invariant
-def pte_consistency(kernel: Kernel) -> list[str]:
+def pte_consistency(view: KernelView) -> list[str]:
     """PTE flag algebra, node cache, and no-freed-frame references."""
-    problems: list[str] = []
-    num_nodes = kernel.machine.num_nodes
-    for proc, vma in _iter_vmas(kernel):
-        pt = vma.pt
-        where = f"{proc.name}:{vma.name or hex(vma.start)}"
-        populated = pt.frame >= 0
-        present = (pt.flags & PTE_PRESENT) != 0
-        write = (pt.flags & PTE_WRITE) != 0
-        nt = (pt.flags & PTE_NEXTTOUCH) != 0
-        if np.any(present & ~populated):
-            problems.append(f"{where}: PRESENT page without a frame")
-        if np.any(write & ~present):
-            problems.append(f"{where}: WRITE bit without PRESENT")
-        if np.any(nt & present):
-            problems.append(f"{where}: NEXTTOUCH page still PRESENT")
-        if np.any(nt & ~populated):
-            problems.append(f"{where}: NEXTTOUCH page without a frame")
-        if np.any(populated & (pt.node < 0)):
-            problems.append(f"{where}: frame attached but node cache unset")
-        if np.any(~populated & (pt.node >= 0)):
-            problems.append(f"{where}: node cache set without a frame")
-        frames = pt.frame[populated]
-        if frames.size:
-            owners = node_of_frame(frames)
-            if np.any(owners != pt.node[populated]):
-                problems.append(f"{where}: node cache disagrees with frame's owning node")
-            if np.any((owners < 0) | (owners >= num_nodes)):
-                problems.append(f"{where}: frame id outside any node's range")
-            else:
-                for node in np.unique(owners):
-                    alloc = kernel.allocators[int(node)]
-                    local = frames[owners == node] - alloc._base
-                    bad = (local < 0) | (local >= alloc.capacity)
-                    if np.any(bad):
-                        problems.append(f"{where}: frame beyond node {node} capacity")
-                        continue
-                    if not np.all(alloc._allocated[local]):
-                        problems.append(f"{where}: PTE points at a freed frame (node {node})")
-        swap = getattr(pt, "_swap_slots", None)
-        if swap is not None and np.any(populated & (swap >= 0)):
-            problems.append(f"{where}: page both populated and on swap")
+    allocators = view.kernel.allocators
+    frame, flags = view.frame, view.flags
+    populated = frame >= 0
+    unpopulated = ~populated
+    present = (flags & PTE_PRESENT) != 0
+    nt = (flags & PTE_NEXTTOUCH) != 0
+    owners = node_of_frame(frame)  # -1 where no frame, like an unset node cache
+    stale = view.node != owners
+    problems = _blame(view, [
+        (present & unpopulated, "PRESENT page without a frame"),
+        (((flags & PTE_WRITE) != 0) & ~present, "WRITE bit without PRESENT"),
+        (nt & present, "NEXTTOUCH page still PRESENT"),
+        (nt & unpopulated, "NEXTTOUCH page without a frame"),
+        (populated & (view.node < 0), "frame attached but node cache unset"),
+        (unpopulated & stale, "node cache set without a frame"),
+        (populated & stale, "node cache disagrees with frame's owning node"),
+        (owners >= len(allocators), "frame id outside any node's range"),
+        (populated & (view.swap >= 0), "page both populated and on swap"),
+    ])
+    # No PTE maps a freed frame. Each node's held frames are one slice of
+    # the sorted holders, looked up in that node's own bitmap; a bad
+    # frame only a page cache holds names no VMA (node_accounting's job).
+    frames = view.holders[0]
+    bases = [alloc._base for alloc in allocators]
+    bounds = np.searchsorted(frames, [*bases, len(allocators) << NODE_STRIDE_SHIFT]).tolist()
+    for alloc, lo, hi in zip(allocators, bounds, bounds[1:]):
+        local = frames[lo:hi] - alloc._base
+        if lo < hi and local[-1] >= alloc.capacity:  # sorted: the last is the largest
+            problems += _blame(view, [(
+                np.isin(frame, frames[lo:hi][local >= alloc.capacity]),
+                f"frame beyond node {alloc.node_id} capacity",
+            )])
+            local = local[local < alloc.capacity]
+        if not alloc._allocated[local].all():
+            problems += _blame(view, [(
+                np.isin(frame, local[~alloc._allocated[local]] + alloc._base),
+                f"PTE points at a freed frame (node {alloc.node_id})",
+            )])
     return problems
 
 
 @_invariant
-def frame_refcounts(kernel: Kernel) -> list[str]:
+def frame_refcounts(view: KernelView) -> list[str]:
     """Recorded reference counts equal actual holder counts."""
-    problems: list[str] = []
-    holders = _frame_holders(kernel)
-    for frame, count in holders.items():
-        expected = kernel.frame_refs.get(frame, 1)
-        if expected != count:
-            problems.append(
-                f"frame {frame}: {count} holder(s) but recorded refcount {expected}"
-            )
-    for frame, refs in kernel.frame_refs.items():
-        if refs < 2:
-            problems.append(f"frame {frame}: refcount table entry {refs} below 2")
-        if frame not in holders:
-            problems.append(f"frame {frame}: refcount {refs} recorded but nothing maps it")
-    return problems
+    frames, counts = view.holders
+    ref_frames, ref_counts = view.refs
+    refcount, held = view.recorded
+    wrong = refcount != counts
+    low = ref_counts < 2
+    return [
+        *(f"frame {f}: {c} holder(s) but recorded refcount {r}"
+          for f, c, r in zip(frames[wrong], counts[wrong], refcount[wrong])),
+        *(f"frame {f}: refcount table entry {r} below 2"
+          for f, r in zip(ref_frames[low], ref_counts[low])),
+        *(f"frame {f}: refcount {r} recorded but nothing maps it"
+          for f, r in zip(ref_frames[~held], ref_counts[~held])),
+    ]
 
 
 @_invariant
-def node_accounting(kernel: Kernel) -> list[str]:
+def node_accounting(view: KernelView) -> list[str]:
     """Allocator ``used`` == alloc/free delta == bitmap == held frames."""
     problems: list[str] = []
-    held: list[set[int]] = [set() for _ in kernel.allocators]
-    for frame in _frame_holders(kernel):
-        node = int(node_of_frame(frame))
-        if 0 <= node < len(held):
-            held[node].add(frame)
-    for alloc in kernel.allocators:
+    allocators = view.kernel.allocators
+    held = np.bincount(node_of_frame(view.holders[0]), minlength=len(allocators))
+    for alloc in allocators:
         used = alloc.used
         delta = alloc.total_allocs - alloc.total_frees
         bitmap = int(np.count_nonzero(alloc._allocated))
+        distinct = int(held[alloc.node_id])
         if used != delta:
             problems.append(
                 f"node {alloc.node_id}: used={used} but allocs-frees={delta}"
@@ -223,44 +297,38 @@ def node_accounting(kernel: Kernel) -> list[str]:
             problems.append(
                 f"node {alloc.node_id}: used={used} but allocation bitmap says {bitmap}"
             )
-        if used != len(held[alloc.node_id]):
+        if used != distinct:
             problems.append(
                 f"node {alloc.node_id}: used={used} but mappings hold "
-                f"{len(held[alloc.node_id])} distinct frame(s)"
+                f"{distinct} distinct frame(s)"
             )
     return problems
 
 
 @_invariant
-def cow_write_exclusion(kernel: Kernel) -> list[str]:
-    """No private mapping has hardware WRITE on a still-shared frame."""
-    problems: list[str] = []
-    for proc, vma in _iter_vmas(kernel):
-        if vma.shared:
-            continue
-        pt = vma.pt
-        writable = (pt.flags & PTE_WRITE) != 0
-        if not writable.any():
-            continue
-        where = f"{proc.name}:{vma.name or hex(vma.start)}"
-        frames = pt.frame[writable]
-        shared = kernel.frames_shared_mask(frames)
-        if np.any(shared):
-            bad = frames[shared]
-            problems.append(
-                f"{where}: WRITE bit on shared frame(s) {sorted(int(f) for f in bad[:4])}"
-            )
-        cow = (pt.flags & PTE_COW) != 0
-        if np.any(cow & (pt.frame < 0)):
-            problems.append(f"{where}: COW flag on a page without a frame")
-    return problems
+def cow_write_exclusion(view: KernelView) -> list[str]:
+    """No private mapping has hardware WRITE on a still-shared frame,
+    nor a COW flag on a page without a frame."""
+    frame, flags, private = view.frame, view.flags, view.private
+    writable = private & ((flags & PTE_WRITE) != 0) & (frame >= 0)
+    shared = np.zeros_like(writable)
+    shared[writable] = view.recorded[0][np.searchsorted(view.holders[0], frame[writable])] > 1
+    problems = []
+    if shared.any():
+        for seg in view.offenders(shared):
+            pages = view.pages(seg)
+            bad = sorted(frame[pages][shared[pages]][:4].tolist())
+            problems.append(f"{view.name(seg)}: WRITE bit on shared frame(s) {bad}")
+    return problems + _blame(view, [
+        (private & ((flags & PTE_COW) != 0) & (frame < 0), "COW flag on a page without a frame"),
+    ])
 
 
 @_invariant
-def numastat_balance(kernel: Kernel) -> list[str]:
+def numastat_balance(view: KernelView) -> list[str]:
     """``numastat`` rows non-negative; misses balance foreigns."""
     problems: list[str] = []
-    stat = kernel.numastat
+    stat = view.kernel.numastat
     for row, values in stat.as_table().items():
         if any(v < 0 for v in values):
             problems.append(f"numastat row {row} went negative: {values}")
@@ -276,10 +344,12 @@ def numastat_balance(kernel: Kernel) -> list[str]:
 
 
 @_invariant
-def ledger_consistency(kernel: Kernel) -> list[str]:
-    """Ledger totals/counts agree; kernel counters stay non-negative."""
+def ledger_consistency(view: KernelView) -> list[str]:
+    """Ledger totals/counts agree; kernel counters stay non-negative
+    and the per-reason migration counts sum to ``pages_migrated``."""
     problems: list[str] = []
-    ledger = kernel.ledger
+    ledger = view.kernel.ledger
+    stats = view.kernel.stats
     if set(ledger.totals) != set(ledger.counts):
         extra = set(ledger.totals) ^ set(ledger.counts)
         problems.append(f"ledger totals/counts keys diverge: {sorted(extra)}")
@@ -288,36 +358,35 @@ def ledger_consistency(kernel: Kernel) -> list[str]:
             problems.append(f"ledger tag {tag!r} total went negative: {total}")
         if ledger.counts.get(tag, 0) < 1:
             problems.append(f"ledger tag {tag!r} has a total but no events")
-    for field, value in kernel.stats.flat():
+    for field, value in stats.flat():
         if value < 0:
             problems.append(f"kernel stat {field} went negative: {value}")
+    by_reason = sum(stats.migrations.values())
+    if by_reason != stats.pages_migrated:
+        problems.append(
+            f"migrations by reason sum to {by_reason} but pages_migrated={stats.pages_migrated}"
+        )
     return problems
 
 
 @_invariant
-def swap_consistency(kernel: Kernel) -> list[str]:
+def swap_consistency(view: KernelView) -> list[str]:
     """Swap slots unique, only on frame-less pages, device count right."""
-    problems: list[str] = []
-    device = getattr(kernel, "swap", None)
-    referenced: Counter[int] = Counter()
-    for proc, vma in _iter_vmas(kernel):
-        table = getattr(vma.pt, "_swap_slots", None)
-        if table is None:
-            continue
-        slots = table[table >= 0]
-        for s in slots:
-            referenced[int(s)] += 1
-    for slot, count in referenced.items():
-        if count > 1:
-            problems.append(f"swap slot {slot} referenced by {count} pages")
+    device = getattr(view.kernel, "swap", None)
+    slots, counts = np.unique(view.swap[view.swap >= 0], return_counts=True)
+    dup = counts > 1
+    problems = [
+        f"swap slot {slot} referenced by {count} pages"
+        for slot, count in zip(slots[dup], counts[dup])
+    ]
     if device is None:
-        if referenced:
-            problems.append(f"{len(referenced)} swap slot(s) referenced but no device attached")
+        if slots.size:
+            problems.append(f"{slots.size} swap slot(s) referenced but no device attached")
         return problems
-    free = set(device._free)
-    for slot in referenced:
-        if slot >= device._bump or slot in free:
-            problems.append(f"swap slot {slot} referenced but not allocated")
+    referenced = slots.tolist()
+    unallocated = set(device._free).intersection(referenced)
+    unallocated.update(slots[slots >= device._bump].tolist())
+    problems += [f"swap slot {slot} referenced but not allocated" for slot in sorted(unallocated)]
     if device.used != len(referenced):
         problems.append(
             f"swap device holds {device.used} slot(s) but page tables "
@@ -335,14 +404,14 @@ def check_kernel(
     ``names`` selects a subset (default: every registered invariant).
     Unknown names raise ``KeyError`` — a misspelled checker silently
     passing is exactly the failure mode this layer exists to prevent.
+    Every selected checker reads the same :class:`KernelView`.
     """
     selected = list(INVARIANTS) if names is None else list(names)
-    violations: list[Violation] = []
-    for name in selected:
-        checker = INVARIANTS[name]
-        for message in checker(kernel):
-            violations.append(Violation(name, message))
-    return violations
+    checkers = [(name, INVARIANTS[name]) for name in selected]
+    view = KernelView(kernel)
+    return [
+        Violation(name, message) for name, checker in checkers for message in checker(view)
+    ]
 
 
 def check_system(system, names: Optional[Iterable[str]] = None) -> list[Violation]:

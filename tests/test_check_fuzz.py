@@ -92,6 +92,15 @@ def test_selftest_passes(tmp_path):
     assert (tmp_path / "selftest-nt-drop.json").exists()
 
 
-@pytest.mark.parametrize("inject", ["node-cache", "ref-leak"])
+#: the check each injection mode trips: its Failure signature
+INJECTION_SIGNATURES = {
+    "nt-drop": ("divergence", "madv_nt"),
+    "node-cache": ("invariant", "pte_consistency"),
+    "ref-leak": ("invariant", "frame_refcounts"),
+}
+
+
+@pytest.mark.parametrize("inject", sorted(INJECTION_SIGNATURES))
 def test_other_injection_modes_are_caught(inject):
-    find_injected_failure(inject=inject, base=4000, n_ops=25, attempts=60)
+    _seed, _ops, failure = find_injected_failure(inject=inject, base=4000, n_ops=25, attempts=60)
+    assert failure.signature == INJECTION_SIGNATURES[inject]

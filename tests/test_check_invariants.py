@@ -12,8 +12,8 @@ from repro.check import (
     check_kernel,
     check_system,
 )
-from repro.kernel.pagetable import PTE_PRESENT, PTE_WRITE
-from repro.kernel.vma import PROT_RW
+from repro.kernel.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
+from repro.kernel.vma import PROT_READ, PROT_RW
 from repro.util.units import PAGE_SIZE
 
 
@@ -32,6 +32,28 @@ def populated_system(system):
 def fired(kernel, name):
     """Violations from one named checker."""
     return [v for v in check_kernel(kernel, [name])]
+
+
+def forked_pair(system):
+    """Two processes with three VMAs each (``r0``..``r2``): a parent
+    with three touched private mappings and its fork child, every
+    frame shared copy-on-write between them."""
+    parent = system.create_process("parent")
+
+    def body(t):
+        for i in range(3):
+            addr = yield from t.mmap(4 * PAGE_SIZE, PROT_RW, name=f"r{i}")
+            yield from t.touch(addr, 4 * PAGE_SIZE, write=True, bytes_per_page=0.0)
+        return (yield from t.fork())
+
+    child = drive(system, body, process=parent)
+    assert [len(p.addr_space.vmas) for p in (parent, child)] == [3, 3]
+    return parent, child
+
+
+def blamed(violations):
+    """The ``proc:vma`` each page-level message names."""
+    return {v.message.split(": ")[0] for v in violations}
 
 
 def test_clean_system_passes_every_invariant(system):
@@ -94,6 +116,35 @@ def test_cow_write_exclusion_detects_write_on_shared_frame(system):
     assert fired(system.kernel, "cow_write_exclusion")
 
 
+def test_cow_write_exclusion_detects_cow_flag_without_frame_in_readonly_vma(system):
+    """Private pages are checked whether or not the VMA is writable."""
+    populated_system(system)
+    proc = system.kernel.processes[0]
+
+    def body(t):
+        return (yield from t.mmap(4 * PAGE_SIZE, PROT_READ))
+
+    drive(system, body, process=proc)
+    vma = proc.addr_space.vmas[-1]  # read-only and untouched: no frames
+    vma.pt.flags[2] |= np.uint16(PTE_COW)
+    assert fired(system.kernel, "cow_write_exclusion")
+
+
+def test_pte_consistency_names_exactly_the_corrupted_vma(system):
+    _parent, child = forked_pair(system)
+    vma = child.addr_space.vmas[1]
+    vma.pt.node[3] = (int(vma.pt.node[3]) + 1) % system.kernel.machine.num_nodes
+    assert blamed(fired(system.kernel, "pte_consistency")) == {"parent-child:r1"}
+
+
+def test_cow_write_exclusion_names_exactly_the_corrupted_vma(system):
+    _parent, child = forked_pair(system)
+    vma = child.addr_space.vmas[1]
+    assert system.kernel.frame_shared(int(vma.pt.frame[0]))
+    vma.pt.flags[0] |= np.uint16(PTE_WRITE)  # scribble on a shared frame
+    assert blamed(fired(system.kernel, "cow_write_exclusion")) == {"parent-child:r1"}
+
+
 def test_numastat_balance_detects_unbalanced_miss(system):
     populated_system(system)
     system.kernel.numastat.numa_miss[0] += 1  # miss with no matching foreign
@@ -103,6 +154,13 @@ def test_numastat_balance_detects_unbalanced_miss(system):
 def test_ledger_consistency_detects_phantom_total(system):
     populated_system(system)
     system.kernel.ledger.totals["phantom.tag"] = 1.0  # total without events
+    assert fired(system.kernel, "ledger_consistency")
+
+
+def test_ledger_consistency_detects_unattributed_migration(system):
+    """Every migrated page is counted under exactly one reason."""
+    populated_system(system)
+    system.kernel.stats.migrations["move_pages"] += 1  # no pages_migrated bump
     assert fired(system.kernel, "ledger_consistency")
 
 
