@@ -7,7 +7,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test verify bench-suite bench-full perf fuzz fuzz-quick docs-check trace-smoke serve-smoke telemetry-smoke experiments examples loc clean
+.PHONY: test verify perf fuzz fuzz-quick docs-check trace-smoke serve-smoke telemetry-smoke experiments examples loc clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -38,13 +38,6 @@ fuzz-quick:
 perf:
 	$(PYTHON) bench/run.py
 
-# The full pytest-benchmark suite (paper-shape assertions).
-bench-suite:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
-bench-full:
-	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
 # Fail if docs reference modules/files/CLI flags that don't exist.
 docs-check:
 	$(PYTHON) tools/docs_check.py
@@ -74,7 +67,7 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
 
 loc:
-	find src tests benchmarks examples tools -name '*.py' | xargs wc -l | tail -1
+	find src tests examples tools -name '*.py' | xargs wc -l | tail -1
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

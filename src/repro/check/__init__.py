@@ -12,7 +12,7 @@ Three cooperating layers keep the simulated kernel honest (see
   failures to replayable JSON reproducers.
 """
 
-from .harness import DiffHarness, Failure, fuzz_machine
+from .harness import DiffHarness, Failure, OpExecutor, fuzz_machine
 from .invariants import (
     INVARIANTS,
     InvariantViolation,
@@ -35,6 +35,7 @@ from .fuzzer import (
 __all__ = [
     "DiffHarness",
     "Failure",
+    "OpExecutor",
     "fuzz_machine",
     "INVARIANTS",
     "InvariantViolation",

@@ -1,8 +1,9 @@
 """The differential executor: one op stream, two memory models.
 
-:class:`DiffHarness` owns a real simulated system (kernel, threads,
-swap device) and a :class:`~repro.check.oracle.Oracle`, feeds both the
-same operation stream, and after **every** op compares:
+:class:`DiffHarness` pairs an :class:`OpExecutor` (a real simulated
+system: kernel, threads, swap device) with a
+:class:`~repro.check.oracle.Oracle`, feeds both the same operation
+stream, and after **every** op compares:
 
 1. the op's *outcome* (return value, errno, or segfault address);
 2. the *canonical state* — per-page placement, protection, next-touch
@@ -64,7 +65,7 @@ from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .invariants import check_kernel
 from .oracle import Oracle
 
-__all__ = ["Failure", "DiffHarness", "fuzz_machine", "MACHINE_SPEC"]
+__all__ = ["Failure", "OpExecutor", "DiffHarness", "fuzz_machine", "MACHINE_SPEC"]
 
 #: The machine every fuzz run simulates (small enough to diff every
 #: step, big enough for 4-node placement and swap pressure).
@@ -134,97 +135,60 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-class DiffHarness:
-    """Runs an op stream through kernel and oracle in lockstep."""
+class OpExecutor:
+    """The kernel half of a differential run: one op stream, one system.
 
-    def __init__(self, inject: Optional[str] = None) -> None:
+    Owns a simulated system on :func:`fuzz_machine` with a swap device,
+    and the proc and region tables that ops name. :meth:`run_op` runs
+    one op on its own thread to completion and returns its outcome.
+    :class:`DiffHarness` pairs an executor with the oracle; the
+    fast-path equivalence suite runs two executors, one with
+    ``kernel.force_slow_path`` set, and diffs their end states.
+
+    ``bytes_per_page`` is the access cost ``touch`` ops charge per page
+    (0 by default: the oracle models placement, not time).
+    """
+
+    def __init__(self, bytes_per_page: float = 0.0) -> None:
         self.system = System(fuzz_machine())
         self.kernel = self.system.kernel
         attach_swap(self.kernel, SwapDevice(self.kernel.env, capacity_pages=1 << 14))
-        self.oracle = Oracle(MACHINE_SPEC["num_nodes"], MACHINE_SPEC["cores_per_node"])
-        #: proc id -> real SimProcess (the oracle keeps its own table)
-        self.kprocs: dict[str, SimProcess] = {}
+        self.bytes_per_page = bytes_per_page
+        #: proc id -> real SimProcess
+        self.procs: dict[str, SimProcess] = {"p0": self.system.create_process("p0")}
         #: region id -> (start address, npages)
         self.regions: dict[str, tuple[int, int]] = {}
-        self.inject = inject
-        self.steps_run = 0
-        self.skipped = 0
-        self._add_proc("p0")
 
-    def _add_proc(self, name: str) -> SimProcess:
-        proc = self.system.create_process(name)
-        self.kprocs[name] = proc
-        self.oracle.create_process(name)
-        return proc
-
-    # ------------------------------------------------------------ execution --
-    def run(self, ops: list[dict]) -> Optional[Failure]:
-        """Run every op; returns the first :class:`Failure` or None."""
-        for step, op in enumerate(ops):
-            failure = self.step(step, op)
-            if failure is not None:
-                return failure
-        return None
-
-    def step(self, step: int, op: dict) -> Optional[Failure]:
-        """Run one op through both models and compare everything."""
-        if not self._references_resolve(op):
-            self.skipped += 1
-            return None
-        self.steps_run += 1
-        kind = op["kind"]
-        got = self._run_kernel_op(op)
-        if kind in _RANGE_OPS:
-            addr, nbytes = self._resolve_range(op)
-            expected = getattr(self.oracle, f"op_{kind}")(op, addr, nbytes)
-        else:
-            expected = getattr(self.oracle, f"op_{kind}")(op)
-        if kind == "mmap" and got[0] == "ok":
-            self.regions[op["region"]] = (int(got[1]), int(op["npages"]))
-        if _jsonable(list(got)) != _jsonable(list(expected)):
-            return Failure(
-                "outcome",
-                kind,
-                step,
-                op,
-                [f"kernel returned {_jsonable(list(got))}, oracle {_jsonable(list(expected))}"],
-            )
-        if self.inject is not None:
-            self._apply_injection(op, got)
-        violations = check_kernel(self.kernel)
-        if violations:
-            return Failure(
-                "invariant", violations[0].invariant, step, op, [str(v) for v in violations]
-            )
-        diffs = self.state_diff()
-        if diffs:
-            return Failure("divergence", kind, step, op, diffs)
-        return None
-
-    def _references_resolve(self, op: dict) -> bool:
-        if op.get("proc") not in self.kprocs:
+    def resolves(self, op: dict) -> bool:
+        """Whether every proc/region/child reference in ``op`` resolves."""
+        if op.get("proc") not in self.procs:
             return False
         kind = op.get("kind")
         if kind in _RANGE_OPS and op.get("region") not in self.regions:
             return False
         if kind == "mmap" and op.get("region") in self.regions:
             return False  # duplicate region id (malformed stream)
-        if kind == "fork" and op.get("child") in self.kprocs:
+        if kind == "fork" and op.get("child") in self.procs:
             return False
         return True
 
-    def _resolve_range(self, op: dict) -> tuple[int, int]:
+    def resolve_range(self, op: dict) -> tuple[int, int]:
+        """``(addr, nbytes)`` of a range op's ``lo``/``hi`` page window."""
         start, npages = self.regions[op["region"]]
         lo = int(op.get("lo", 0))
         hi = int(op.get("hi", npages))
         return start + (lo << PAGE_SHIFT), (hi - lo) << PAGE_SHIFT
 
-    def _run_kernel_op(self, op: dict) -> tuple:
+    def run_op(self, op: dict) -> tuple:
+        """Run one op whose references resolve; returns its outcome:
+        ``("ok", value)``, ``("err", errno name)`` or ``("segv", address)``.
+        A successful ``mmap`` registers its region, a ``fork`` its child.
+        """
         kind = op["kind"]
-        proc = self.kprocs[op["proc"]]
+        proc = self.procs[op["proc"]]
         core = int(op.get("core", 0))
         if kind in _RANGE_OPS:
-            addr, nbytes = self._resolve_range(op)
+            addr, nbytes = self.resolve_range(op)
 
         def body(t):
             if kind == "mmap":
@@ -247,7 +211,7 @@ class DiffHarness:
                     nbytes,
                     write=bool(op.get("write", True)),
                     batch=int(op.get("batch", 1)),
-                    bytes_per_page=0.0,
+                    bytes_per_page=self.bytes_per_page,
                 )
             elif kind == "move_pages":
                 result = yield from t.move_range(addr, nbytes, int(op["dest"]))
@@ -261,7 +225,7 @@ class DiffHarness:
                 raise ValueError(f"unknown op kind {kind!r}")
             return result
 
-        thread = self.system.spawn(proc, core, body, name=f"fuzz.{self.steps_run}")
+        thread = self.system.spawn(proc, core, body)
         try:
             value = self.system.run_to(thread.join())
         except SyscallError as exc:
@@ -269,9 +233,68 @@ class DiffHarness:
         except SegmentationFault as exc:
             return ("segv", int(exc.address))
         if isinstance(value, SimProcess):
-            self.kprocs[op["child"]] = value
+            self.procs[op["child"]] = value
             return ("ok", op["child"])
+        if kind == "mmap":
+            self.regions[op["region"]] = (int(value), int(op["npages"]))
         return ("ok", _jsonable(value))
+
+
+class DiffHarness:
+    """Runs an op stream through kernel and oracle in lockstep."""
+
+    def __init__(self, inject: Optional[str] = None) -> None:
+        self.executor = OpExecutor()
+        self.kernel = self.executor.kernel
+        #: proc id -> real SimProcess (the oracle keeps its own table)
+        self.kprocs = self.executor.procs
+        self.oracle = Oracle(MACHINE_SPEC["num_nodes"], MACHINE_SPEC["cores_per_node"])
+        self.oracle.create_process("p0")
+        self.inject = inject
+        self.steps_run = 0
+        self.skipped = 0
+
+    # ------------------------------------------------------------ execution --
+    def run(self, ops: list[dict]) -> Optional[Failure]:
+        """Run every op; returns the first :class:`Failure` or None."""
+        for step, op in enumerate(ops):
+            failure = self.step(step, op)
+            if failure is not None:
+                return failure
+        return None
+
+    def step(self, step: int, op: dict) -> Optional[Failure]:
+        """Run one op through both models and compare everything."""
+        if not self.executor.resolves(op):
+            self.skipped += 1
+            return None
+        self.steps_run += 1
+        kind = op["kind"]
+        got = self.executor.run_op(op)
+        if kind in _RANGE_OPS:
+            addr, nbytes = self.executor.resolve_range(op)
+            expected = getattr(self.oracle, f"op_{kind}")(op, addr, nbytes)
+        else:
+            expected = getattr(self.oracle, f"op_{kind}")(op)
+        if _jsonable(list(got)) != _jsonable(list(expected)):
+            return Failure(
+                "outcome",
+                kind,
+                step,
+                op,
+                [f"kernel returned {_jsonable(list(got))}, oracle {_jsonable(list(expected))}"],
+            )
+        if self.inject is not None:
+            self._apply_injection(op, got)
+        violations = check_kernel(self.kernel)
+        if violations:
+            return Failure(
+                "invariant", violations[0].invariant, step, op, [str(v) for v in violations]
+            )
+        diffs = self.state_diff()
+        if diffs:
+            return Failure("divergence", kind, step, op, diffs)
+        return None
 
     # ------------------------------------------------------------ injection --
     @staticmethod
@@ -311,7 +334,7 @@ class DiffHarness:
             return
         mode, kind = self.inject, op["kind"]
         if mode == "nt-drop" and kind == "madv_nt":
-            addr, nbytes = self._resolve_range(op)
+            addr, nbytes = self.executor.resolve_range(op)
             proc = self.kprocs[op["proc"]]
             for vma, first, stop in self._mapped_segments(proc, addr, nbytes):
                 flags = vma.pt.flags[first:stop]
@@ -321,7 +344,7 @@ class DiffHarness:
                 )
                 vma.pt.flags[first:stop] = flags
         elif mode == "node-cache" and kind == "move_pages":
-            addr, nbytes = self._resolve_range(op)
+            addr, nbytes = self.executor.resolve_range(op)
             proc = self.kprocs[op["proc"]]
             for vma, first, stop in self._mapped_segments(proc, addr, nbytes):
                 populated = np.nonzero(vma.pt.frame[first:stop] >= 0)[0]

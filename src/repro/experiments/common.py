@@ -2,7 +2,7 @@
 
 Every ``figN_*``/``tableN_*`` module exposes ``run(...) ->
 ExperimentResult`` producing the same rows/series the paper reports;
-the CLI and the pytest benchmarks are thin wrappers over these.
+the CLI and the tier-1 shape tests are thin wrappers over these.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The paper's Figures 1 and 2 are sequence diagrams of the user-space
 and kernel next-touch implementations. Here we *execute* a one-page
 next-touch under a tracer and render the actual sequence of charged
 operations — if the implementation deviated from the paper's diagrams,
-the printed flow (and the assertions in ``benchmarks/test_flows.py``)
-would show it.
+the printed flow (and the order assertions in
+``tests/test_flows_and_generality.py``) would show it.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ process's anonymous VMAs, and marks up to ``scan_pages`` pages
 ``NEXTTOUCH`` per wake. Application threads then pull their working
 sets to themselves with no application- or runtime-level hooks at all.
 
-The comparison experiment (``benchmarks/test_ablations.py`` and
-``tests/test_ext.py``) pits it against the paper's explicit hook: the
-scanner converges without source changes, at the cost of extra hinting
-faults on already-local pages.
+The scanner's tests are in ``tests/test_autonuma.py``; the serve race
+(``repro-experiments serve``, ``docs/serving.md``) pits it against the
+paper's explicit hook: the scanner converges without source changes,
+at the cost of extra hinting faults on already-local pages.
 """
 
 from __future__ import annotations

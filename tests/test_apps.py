@@ -64,20 +64,6 @@ def test_lu_page_independence_flag():
     assert r.page_independent
 
 
-def test_lu_small_blocks_thrash_large_blocks_win():
-    """Table 1's two regimes at reduced scale."""
-
-    def improvement(n, b):
-        times = {}
-        for policy in ("static", "nexttouch"):
-            system = System()
-            times[policy] = ThreadedLU(system, n, b, policy=policy).run().elapsed_s
-        return (times["static"] / times["nexttouch"] - 1) * 100
-
-    assert improvement(2048, 64) < 0  # shared pages: migration thrash
-    assert improvement(2048, 512) > 10  # page-independent: locality wins
-
-
 def test_lu_user_nexttouch_works_but_costs_more():
     """Section 3.4 / 4.5: the user-space scheme functions but its
     per-chunk overhead makes it worse than the kernel scheme at LU's

@@ -33,6 +33,20 @@ def test_check_path(docs_check):
     assert docs_check.check_path("src/repro/obs/manifest.py")
     assert docs_check.check_path("repro/report.py")  # src/ prefix optional
     assert not docs_check.check_path("src/repro/obs/missing.py")
+    # Repo-relative paths into tests/, tools/ and examples/.
+    assert docs_check.check_path("tests/test_docs_check.py")
+    assert docs_check.check_path("tools/docs_check.py")
+    assert docs_check.check_path("examples/quickstart.py")
+    assert not docs_check.check_path("tests/test_missing.py")
+    # Only .py paths are matched, and only from the start of a path.
+    line = (
+        "`tests/test_paper_claims.py::test_fig4_large_buffers`, "
+        "bench/out/report.json, bench/tests/x.py, src/repro/report.py"
+    )
+    assert docs_check.PATH_RE.findall(line) == [
+        "tests/test_paper_claims.py",
+        "src/repro/report.py",
+    ]
 
 
 def test_cli_vocabulary_contains_new_surface(docs_check):

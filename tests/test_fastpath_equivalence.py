@@ -11,10 +11,11 @@ closing ``TimeSeriesSampler`` sample are part of the diffed state.
 
 This suite replays seeded fuzzer workloads — the same generator
 ``make fuzz`` uses, so mprotect / madvise / fork / swap / migration
-interleavings are all covered — through two fresh systems: one with
-the fast paths enabled (the default), one with
-``kernel.force_slow_path = True``. The canonical states are then
-diffed field by field. ``events_processed`` is deliberately outside
+interleavings are all covered — through two fresh
+:class:`~repro.check.harness.OpExecutor` systems (the kernel half of
+the differential harness): one with the fast paths enabled (the
+default), one with ``kernel.force_slow_path = True``. The canonical
+states are then diffed field by field. ``events_processed`` is deliberately outside
 the comparison: event *coalescing* is the point of the fast path, so
 only observable state and the clock must agree.
 
@@ -32,15 +33,13 @@ from typing import Optional
 import pytest
 
 from repro.check.fuzzer import generate_ops
-from repro.check.harness import fuzz_machine
-from repro.errors import SegmentationFault, SyscallError
+from repro.check.harness import OpExecutor
+from repro.errors import SyscallError
 from repro.kernel.mempolicy import MemPolicy
-from repro.kernel.swap import SwapDevice, attach_swap
 from repro.kernel.syscalls import Madvise
 from repro.kernel.vma import PROT_RW
 from repro.sim.trace import Tracer
-from repro.system import System
-from repro.util.units import PAGE_SHIFT, PAGE_SIZE
+from repro.util.units import PAGE_SIZE
 
 #: Seeded workloads replayed by the equivalence sweep. 52 seeds of 40
 #: ops each comfortably covers every op kind (asserted below) and both
@@ -68,160 +67,70 @@ def _lock_stats(stats) -> tuple:
     )
 
 
-class _Executor:
-    """The kernel half of ``DiffHarness``: one op stream, one system.
+def _executor(
+    *, slow: bool, bytes_per_page: float = 0.0, tracer: Optional[Tracer] = None
+) -> OpExecutor:
+    """A fresh executor, forced onto the slow path if ``slow``, with
+    ``tracer`` attached before its first op."""
+    ex = OpExecutor(bytes_per_page=bytes_per_page)
+    ex.kernel.force_slow_path = slow
+    if tracer is not None:
+        tracer.attach(ex.kernel)
+    return ex
 
-    No oracle, no invariant sweep — this harness only exists to produce
-    a canonical end state for exact comparison against its twin.
-    """
 
-    def __init__(
-        self, *, slow: bool, bytes_per_page: float = 0.0, traced: bool = False
-    ) -> None:
-        self.system = System(fuzz_machine())
-        self.kernel = self.system.kernel
-        self.kernel.force_slow_path = slow
-        self.tracer: Optional[Tracer] = None
-        if traced:
-            self.tracer = Tracer(capacity=TRACE_CAPACITY)
-            self.tracer.attach(self.kernel)
-        attach_swap(self.kernel, SwapDevice(self.kernel.env, capacity_pages=1 << 14))
-        self.bytes_per_page = bytes_per_page
-        self.procs = {"p0": self.system.create_process("p0")}
-        self.regions: dict[str, tuple[int, int]] = {}
-        self.steps = 0
+def canonical(ex: OpExecutor) -> dict:
+    """Everything observable about ``ex``'s end state, for exact diffing."""
+    from repro.obs.timeseries import TimeSeriesSampler
 
-    def _resolves(self, op: dict) -> bool:
-        if op.get("proc") not in self.procs:
-            return False
-        kind = op["kind"]
-        if "region" in op and kind != "mmap" and op["region"] not in self.regions:
-            return False
-        if kind == "fork" and op.get("child") in self.procs:
-            return False
-        return True
-
-    def _range(self, op: dict) -> tuple[int, int]:
-        start, npages = self.regions[op["region"]]
-        lo = int(op.get("lo", 0))
-        hi = int(op.get("hi", npages))
-        return start + (lo << PAGE_SHIFT), (hi - lo) << PAGE_SHIFT
-
-    def run_op(self, op: dict) -> Optional[tuple]:
-        if not self._resolves(op):
-            return None
-        self.steps += 1
-        kind = op["kind"]
-        proc = self.procs[op["proc"]]
-        if "region" in op and kind != "mmap":
-            addr, nbytes = self._range(op)
-        bpp = self.bytes_per_page
-
-        def body(t):
-            if kind == "mmap":
-                result = yield from t.mmap(
-                    int(op["npages"]) * PAGE_SIZE,
-                    int(op["prot"]),
-                    shared=bool(op.get("shared", False)),
-                )
-            elif kind == "munmap":
-                result = yield from t.munmap(addr, nbytes)
-            elif kind == "mprotect":
-                result = yield from t.mprotect(addr, nbytes, int(op["prot"]))
-            elif kind == "madv_nt":
-                result = yield from t.madvise(addr, nbytes, Madvise.NEXTTOUCH)
-            elif kind == "madv_dontneed":
-                result = yield from t.madvise(addr, nbytes, Madvise.DONTNEED)
-            elif kind == "touch":
-                result = yield from t.touch(
-                    addr,
-                    nbytes,
-                    write=bool(op.get("write", True)),
-                    batch=int(op.get("batch", 1)),
-                    bytes_per_page=bpp,
-                )
-            elif kind == "move_pages":
-                result = yield from t.move_range(addr, nbytes, int(op["dest"]))
-            elif kind == "migrate_pages":
-                result = yield from t.migrate_pages([int(op["src"])], [int(op["dst"])])
-            elif kind == "fork":
-                result = yield from t.fork()
-            elif kind == "swap_out":
-                result = yield from t.swap_out(addr, nbytes)
-            else:
-                raise ValueError(f"unknown op kind {kind!r}")
-            return result
-
-        thread = self.system.spawn(
-            proc, int(op.get("core", 0)), body, name=f"eq.{self.steps}"
-        )
-        try:
-            value = self.system.run_to(thread.join())
-        except SyscallError as exc:
-            return ("err", exc.errno.name)
-        except SegmentationFault as exc:
-            return ("segv", int(exc.address))
-        if kind == "fork":
-            self.procs[op["child"]] = value
-            return ("ok", op["child"])
-        if kind == "mmap":
-            self.regions[op["region"]] = (int(value), int(op["npages"]))
-            return ("ok", int(value))
-        if hasattr(value, "tolist"):
-            return ("ok", tuple(int(v) for v in value))
-        return ("ok", value)
-
-    def canonical(self) -> dict:
-        from repro.obs.timeseries import TimeSeriesSampler
-
-        k = self.kernel
-        # One closing telemetry sample: t_us, every counter, per-node
-        # occupancy. Goes through the exact-diff like everything else.
-        sampler = TimeSeriesSampler(k)
-        sampler.sample()
-        state = {
-            "timeseries": sampler.to_dict(),
-            "now": k.env.now,
-            "ledger_totals": dict(k.ledger.totals),
-            "ledger_counts": dict(k.ledger.counts),
-            "stats": dict(vars(k.stats)),
-            "numa_hit": list(k.numastat.numa_hit),
-            "numa_miss": list(k.numastat.numa_miss),
-            "numa_foreign": list(k.numastat.numa_foreign),
-            "interleave_hit": list(k.numastat.interleave_hit),
-            "frame_refs": dict(k.frame_refs),
-            "allocators": [
-                (a.used, a.free, a.total_allocs, a._bump, list(a._free))
-                for a in k.allocators
-            ],
-            "lru": [_lock_stats(lock.stats) for lock in k.lru_locks],
-            "swap_used": k.swap.used if getattr(k, "swap", None) is not None else 0,
+    k = ex.kernel
+    # One closing telemetry sample: t_us, every counter, per-node
+    # occupancy. Goes through the exact-diff like everything else.
+    sampler = TimeSeriesSampler(k)
+    sampler.sample()
+    state = {
+        "timeseries": sampler.to_dict(),
+        "now": k.env.now,
+        "ledger_totals": dict(k.ledger.totals),
+        "ledger_counts": dict(k.ledger.counts),
+        "stats": dict(vars(k.stats)),
+        "numa_hit": list(k.numastat.numa_hit),
+        "numa_miss": list(k.numastat.numa_miss),
+        "numa_foreign": list(k.numastat.numa_foreign),
+        "interleave_hit": list(k.numastat.interleave_hit),
+        "frame_refs": dict(k.frame_refs),
+        "allocators": [
+            (a.used, a.free, a.total_allocs, a._bump, list(a._free))
+            for a in k.allocators
+        ],
+        "lru": [_lock_stats(lock.stats) for lock in k.lru_locks],
+        "swap_used": k.swap.used if getattr(k, "swap", None) is not None else 0,
+    }
+    procs = {}
+    for name, proc in sorted(ex.procs.items()):
+        vmas = []
+        for vma in proc.addr_space.vmas:
+            swap = getattr(vma.pt, "_swap_slots", None)
+            vmas.append(
+                {
+                    "start": vma.start,
+                    "prot": int(vma.prot),
+                    "frame": vma.pt.frame.tolist(),
+                    "node": vma.pt.node.tolist(),
+                    "flags": vma.pt.flags.tolist(),
+                    "swap": None if swap is None else swap.tolist(),
+                }
+            )
+        procs[name] = {
+            "vmas": vmas,
+            "mmap_sem": _lock_stats(proc.mmap_sem.stats),
+            "ptls": {
+                key: _lock_stats(lock.stats)
+                for key, lock in sorted(proc._ptls.items())
+            },
         }
-        procs = {}
-        for name, proc in sorted(self.procs.items()):
-            vmas = []
-            for vma in proc.addr_space.vmas:
-                swap = getattr(vma.pt, "_swap_slots", None)
-                vmas.append(
-                    {
-                        "start": vma.start,
-                        "prot": int(vma.prot),
-                        "frame": vma.pt.frame.tolist(),
-                        "node": vma.pt.node.tolist(),
-                        "flags": vma.pt.flags.tolist(),
-                        "swap": None if swap is None else swap.tolist(),
-                    }
-                )
-            procs[name] = {
-                "vmas": vmas,
-                "mmap_sem": _lock_stats(proc.mmap_sem.stats),
-                "ptls": {
-                    key: _lock_stats(lock.stats)
-                    for key, lock in sorted(proc._ptls.items())
-                },
-            }
-        state["procs"] = procs
-        return state
+    state["procs"] = procs
+    return state
 
 
 def _diff(a, b, path="") -> list[str]:
@@ -246,22 +155,31 @@ def _diff(a, b, path="") -> list[str]:
     return out
 
 
-def _trace(ex: _Executor) -> list:
+def _trace(tracer: Tracer) -> list:
     """The traced charge stream as plain tuples (nothing evicted)."""
-    assert ex.tracer.dropped == 0
-    return [(s.start_us, s.duration_us, s.tag) for s in ex.tracer.samples]
+    assert tracer.dropped == 0
+    return [(s.start_us, s.duration_us, s.tag) for s in tracer.samples]
 
 
-def _assert_same_trace(fast: _Executor, slow: _Executor, label: str = "") -> None:
+def _assert_same_trace(fast: Tracer, slow: Tracer, label: str = "") -> None:
     fast_trace, slow_trace = _trace(fast), _trace(slow)
     assert fast_trace, f"{label}: nothing traced"
     diffs = _diff(fast_trace, slow_trace, "trace")
     assert not diffs, f"{label}:\n" + "\n".join(diffs[:12])
 
 
-def _replay(seed: int, *, slow: bool, bytes_per_page: float = 0.0, traced: bool = False):
-    ex = _Executor(slow=slow, bytes_per_page=bytes_per_page, traced=traced)
-    outcomes = [ex.run_op(op) for op in generate_ops(seed, N_OPS)]
+def _tracers() -> tuple[Tracer, Tracer]:
+    """A fast/slow pair of tracers large enough to keep every sample."""
+    return Tracer(capacity=TRACE_CAPACITY), Tracer(capacity=TRACE_CAPACITY)
+
+
+def _replay(
+    seed: int, *, slow: bool, bytes_per_page: float = 0.0, tracer: Optional[Tracer] = None
+):
+    ex = _executor(slow=slow, bytes_per_page=bytes_per_page, tracer=tracer)
+    outcomes = [
+        ex.run_op(op) if ex.resolves(op) else None for op in generate_ops(seed, N_OPS)
+    ]
     return outcomes, ex
 
 
@@ -269,11 +187,12 @@ def _assert_equivalent(seed: int, bytes_per_page: float = 0.0) -> None:
     fast_out, fast = _replay(seed, slow=False, bytes_per_page=bytes_per_page)
     slow_out, slow = _replay(seed, slow=True, bytes_per_page=bytes_per_page)
     assert fast_out == slow_out, f"seed {seed}: outcomes diverged"
-    diffs = _diff(fast.canonical(), slow.canonical())
+    diffs = _diff(canonical(fast), canonical(slow))
     assert not diffs, f"seed {seed}:\n" + "\n".join(diffs[:12])
-    _, fast = _replay(seed, slow=False, bytes_per_page=bytes_per_page, traced=True)
-    _, slow = _replay(seed, slow=True, bytes_per_page=bytes_per_page, traced=True)
-    _assert_same_trace(fast, slow, f"seed {seed}")
+    fast_tracer, slow_tracer = _tracers()
+    _replay(seed, slow=False, bytes_per_page=bytes_per_page, tracer=fast_tracer)
+    _replay(seed, slow=True, bytes_per_page=bytes_per_page, tracer=slow_tracer)
+    _assert_same_trace(fast_tracer, slow_tracer, f"seed {seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -342,10 +261,9 @@ def test_turbo_demand_zero_matches_slow_path(interleave):
 # zero length), always against the forced-slow twin.
 
 
-def _spawn(ex: _Executor, proc, core: int, body):
+def _spawn(ex: OpExecutor, proc, core: int, body):
     """Run one thread to completion on ``ex``'s system."""
-    ex.steps += 1
-    thread = ex.system.spawn(proc, core, body, name=f"runop{ex.steps}")
+    thread = ex.system.spawn(proc, core, body)
     return ex.system.run_to(thread.join())
 
 
@@ -353,15 +271,17 @@ def _assert_script_equivalent(script, bytes_per_page: float = 0.0):
     """Replay ``script(ex)`` fast and forced-slow; states must match,
     and so must the sample lists of a second, traced pair."""
 
-    def run(slow: bool, traced: bool = False) -> _Executor:
-        ex = _Executor(slow=slow, bytes_per_page=bytes_per_page, traced=traced)
+    def run(slow: bool, tracer: Optional[Tracer] = None) -> OpExecutor:
+        ex = _executor(slow=slow, bytes_per_page=bytes_per_page, tracer=tracer)
         script(ex)
         return ex
 
-    fast, slow = run(False), run(True)
-    diffs = _diff(fast.canonical(), slow.canonical())
+    diffs = _diff(canonical(run(False)), canonical(run(True)))
     assert not diffs, "\n".join(diffs[:12])
-    _assert_same_trace(run(False, traced=True), run(True, traced=True))
+    fast_tracer, slow_tracer = _tracers()
+    run(False, fast_tracer)
+    run(True, slow_tracer)
+    _assert_same_trace(fast_tracer, slow_tracer)
 
 
 @pytest.mark.parametrize("multi_src", [False, True])
@@ -576,7 +496,7 @@ def test_runop_bails_with_lock_waiters():
 
     from repro.kernel.runops import _pmd_locks, cow_break_run, migrate_run
 
-    ex = _Executor(slow=False)
+    ex = _executor(slow=False)
     proc = ex.procs["p0"]
     captured = {}
 
@@ -612,7 +532,7 @@ def test_runops_coalesce_events(scenario):
     of engine events (the wall-clock point of the layer)."""
 
     def events(slow: bool) -> int:
-        ex = _Executor(slow=slow)
+        ex = _executor(slow=slow)
         proc = ex.procs["p0"]
         npages = 512
         shared = {}
@@ -648,7 +568,7 @@ def test_force_slow_path_disables_turbo():
     side processes strictly more engine events for the same work."""
 
     def events(slow: bool) -> int:
-        ex = _Executor(slow=slow)
+        ex = _executor(slow=slow)
         proc = ex.procs["p0"]
 
         def body(t):
@@ -690,7 +610,8 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
     ):
         count(module, name)
 
-    ex = _Executor(slow=False, traced=True)
+    tracer = Tracer(capacity=TRACE_CAPACITY)
+    ex = _executor(slow=False, tracer=tracer)
     assert ex.kernel.turbo_ok()
     proc = ex.procs["p0"]
     npages = 256
@@ -716,5 +637,5 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
     assert ex.kernel.turbo_ok()
     assert set(outcomes) == {"demand_zero_run", "cow_break_run", "swap_in_run", "migrate_run"}
     assert all(all(engaged) for engaged in outcomes.values()), outcomes
-    tags = {s.tag for s in ex.tracer.samples}
+    tags = {s.tag for s in tracer.samples}
     assert {"fault.anon", "move_pages.copy", "cow.copy", "swap.in"} <= tags

@@ -9,12 +9,32 @@ from repro.util import PAGE_SIZE
 
 
 # ------------------------------------------------------------------ flows ----
+def _assert_in_order(steps: list[str], fragments: list[str]) -> None:
+    """The first step containing each fragment comes strictly in order."""
+    positions = [next(i for i, s in enumerate(steps) if f in s) for f in fragments]
+    assert all(a < b for a, b in zip(positions, positions[1:])), steps
+
+
 def test_user_flow_contains_signal_and_syscalls():
     tracer = fig12_flows.trace_user_flow()
     steps = fig12_flows.flow_steps(tracer, fig12_flows.USER_STEPS)
     assert any("SIGSEGV" in s for s in steps)
     assert any("move_pages" in s for s in steps)
     assert steps[0].startswith("mprotect")
+    # Figure 1: mark -> fault -> SIGSEGV -> move_pages (control/copy)
+    # -> restore -> retry.
+    _assert_in_order(
+        steps,
+        [
+            "marks next-touch",
+            "page-fault",
+            "SIGSEGV",
+            "move_pages() (enter kernel)",
+            "copy page",
+            "restores protection",
+            "retry succeeds",
+        ],
+    )
 
 
 def test_kernel_flow_has_no_signal_and_one_kernel_entry():
@@ -23,6 +43,20 @@ def test_kernel_flow_has_no_signal_and_one_kernel_entry():
     assert steps[0].startswith("madvise")
     assert not any("SIGSEGV" in s for s in steps)
     assert any("copy page" in s for s in steps)
+    # Figure 2: madvise -> fault -> migrate in the handler
+    # (allocate/copy/free) -> retry. No signal, no second syscall.
+    _assert_in_order(
+        steps,
+        [
+            "madvise",
+            "page-fault",
+            "migrate page",
+            "allocate new page",
+            "copy page",
+            "free old page",
+            "retry succeeds",
+        ],
+    )
 
 
 def test_flow_steps_collapse_repeats():

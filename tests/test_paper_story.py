@@ -2,7 +2,8 @@
 
 Each test here asserts one sentence of the paper at reduced scale —
 an end-to-end safety net that the reproduction keeps telling the same
-story as the calibrated benchmarks, even after refactors.
+story as the figure and table shapes in ``tests/test_paper_claims.py``,
+even after refactors.
 """
 
 import pytest

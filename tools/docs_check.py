@@ -2,15 +2,20 @@
 """Docs linter: fail when docs reference code that does not exist.
 
 Scans the user-facing Markdown (``docs/*.md``, ``README.md``,
-``EXPERIMENTS.md``) for four kinds of reference and verifies each
-against the tree. ``CHANGES.md`` is history: its entries name files,
-flags and targets as they were, so it is not linted.
+``EXPERIMENTS.md``, ``DESIGN.md``, ``CONTRIBUTING.md``) for four kinds
+of reference and verifies each against the tree. ``CHANGES.md`` is
+history: its entries name files, flags and targets as they were, so it
+is not linted.
 
 1. dotted names — ``repro.obs.metrics.MetricsRegistry`` must resolve:
    the longest importable module prefix is imported, remaining
    components looked up with ``getattr``;
 2. file paths — ``src/repro/obs/manifest.py`` (or ``repro/...``) must
-   exist;
+   exist, and so must repo-relative ``.py`` paths into the
+   ``REPO_DIRS`` (``tests/test_x.py``; the retired ``benchmarks``
+   directory is listed so a stale pointer into it fails). Only ``.py``
+   paths count: docs also name generated artifacts such as
+   ``bench/out/report.json``;
 3. CLI usage — on lines mentioning ``repro-experiments``, the
    experiment name must be a real CLI choice and every ``--flag`` must
    be accepted by the parser — both read from the live
@@ -50,6 +55,8 @@ sys.path.insert(0, str(REPO / "src"))
 DOC_FILES = sorted((REPO / "docs").glob("*.md")) + [
     REPO / "README.md",
     REPO / "EXPERIMENTS.md",
+    REPO / "DESIGN.md",
+    REPO / "CONTRIBUTING.md",
 ]
 
 # Docs the manual promises: the glob above only sees files that exist,
@@ -65,7 +72,12 @@ for _doc in REQUIRED_DOCS:
 # A `/vN` suffix marks an artifact schema id (repro.run_manifest/v1),
 # not a module reference — matched so it can be skipped.
 DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z_0-9]*)+(/v\d+)?")
-PATH_RE = re.compile(r"\b(?:src/)?repro/[A-Za-z_0-9/]+\.py\b")
+# Top-level directories whose files docs cite by repo-relative path.
+REPO_DIRS = ("tests", "tools", "examples", "benchmarks")
+PATH_RE = re.compile(
+    r"\b(?:src/)?repro/[A-Za-z_0-9/]+\.py\b"
+    rf"|(?<![\w/])(?:{'|'.join(REPO_DIRS)})/[A-Za-z_0-9/]+\.py\b"
+)
 CLI_LINE_RE = re.compile(r"repro-experiments\s+([A-Za-z_0-9-]+)")
 FLAG_RE = re.compile(r"--[a-z][a-z-]*")
 # Only backticked invocations count — `make perf` is a promise, while
@@ -121,8 +133,9 @@ def check_dotted(ref: str) -> bool:
 
 
 def check_path(ref: str) -> bool:
-    rel = ref if ref.startswith("src/") else f"src/{ref}"
-    return (REPO / rel).exists()
+    if ref.startswith("src/") or ref.split("/", 1)[0] in REPO_DIRS:
+        return (REPO / ref).exists()
+    return (REPO / "src" / ref).exists()
 
 
 def check_invariant_contract() -> list[str]:
