@@ -211,7 +211,11 @@ def demand_zero_run(
     simulated quantity — clock, ledger totals and counts, lock stats,
     numastat, frame ids, page-table state — is reproduced with the
     exact float arithmetic of the per-page walk, collapsed into ONE
-    engine event.
+    engine event. The replay has no per-page Python loop: the clock is
+    one ``np.cumsum`` over the interleaved per-page charges, and the
+    ledger totals and the PTL and LRU hold times are seeded cumsums
+    over the page-order terms (:func:`_fold_chains`). An attached
+    ledger sink still gets each charge at its per-page instant.
 
     All-or-nothing: returns ``(pages_advanced, event)``, or ``None`` to
     bail (caller falls back to :func:`handle_fault`). ``pages_advanced``
@@ -299,84 +303,126 @@ def demand_zero_run(
     # slow storm this run commit stands in for.
     kernel.stats.record_run("demand_zero", run, ops=run)
     sem.stats.acquisitions += run
-    # --- per-page float replay: the clock, per-tag ledger totals and
-    # lock hold times are sequential sums whose rounding depends on the
-    # exact order of additions, so they are replayed addition by
-    # addition rather than computed in closed form. Ledger sinks get
-    # each page's charges at their per-page instants as the replay
-    # computes them (entry, anon, alloc, then access).
-    sinks = led.sinks
-    emit = led.emit
+    # --- float replay: every chain below is a seeded np.cumsum (see
+    # _fold_chains). Page j's clock steps are its entry, anon and alloc
+    # charges and, for every page but the last, its access charge. The
+    # PTL is held from the end of the entry charge to the end of the
+    # alloc charge, the LRU lock across the alloc charge.
     entry_us = cost.fault_entry_us
     anon_us = cost.anon_fault_us
     alloc_us = cost.lru_lock_hold_us / 2
-    t = env.now
-    tot_entry = led.totals["fault.entry"]
-    tot_anon = led.totals["fault.anon"]
-    tot_alloc = led.totals["fault.alloc"]
-    acc_total = led.totals[tag] if (run > 1 and bytes_per_page > 0) else 0.0
-    acc_count = 0
-    acc_cache: dict[int, float] = {}
-    lru_hold: dict[int, float] = {}
     last = run - 1
-    pmd_group = 0
-    pmd_acq = 0
-    pmd_hold = 0.0
-    boundary = ((key0 + 1) << 9) - q0  # pages until the next pmd lock
-    for i in range(run):
-        if i == boundary:
-            stats = ptl_locks[pmd_group].stats
-            stats.acquisitions += pmd_acq
-            stats.hold_time += pmd_hold
-            pmd_group += 1
-            pmd_acq = 0
-            pmd_hold = 0.0
-            boundary += 512
-        node = target if targets is None else int(targets[i])
-        t0 = t
-        t1 = t + entry_us
-        t2 = t1 + anon_us
-        t3 = t2 + alloc_us
-        pmd_acq += 1
-        pmd_hold += t3 - t1
-        lru_hold[node] = lru_hold.get(node, 0.0) + (t3 - t2)
-        t = t3
-        if i != last:
-            acc = acc_cache.get(node)
-            if acc is None:
-                acc = acc_cache[node] = _access_cost_us_single(
-                    kernel, local, node, bytes_per_page
-                )
+    # Access charge per node (_access_cost_us's value). The per-page
+    # walk books only positive ones; a 0.0 step leaves every chain
+    # unchanged.
+    acc_node = np.zeros(machine.num_nodes)
+    if last and bytes_per_page > 0:
+        for n in used_nodes:
+            acc = _access_cost_us_single(kernel, local, int(n), bytes_per_page)
             if acc > 0:
-                acc_total = acc_total + acc
-                acc_count += 1
-                t = t + acc
-        tot_entry = tot_entry + entry_us
-        tot_anon = tot_anon + anon_us
-        tot_alloc = tot_alloc + alloc_us
-        if sinks:
-            emit(t0, entry_us, "fault.entry")
-            emit(t1, anon_us, "fault.anon")
-            emit(t2, alloc_us, "fault.alloc")
-            if i != last and acc > 0:
-                emit(t3, acc, tag)
-    stats = ptl_locks[pmd_group].stats
-    stats.acquisitions += pmd_acq
-    stats.hold_time += pmd_hold
-    for node, hold in lru_hold.items():
-        stats = kernel.lru_locks[node].stats
-        stats.acquisitions += run if targets is None else int(node_counts[node])
-        stats.hold_time += hold
-    led.totals["fault.entry"] = tot_entry
-    led.counts["fault.entry"] += run
-    led.totals["fault.anon"] = tot_anon
-    led.counts["fault.anon"] += run
-    led.totals["fault.alloc"] = tot_alloc
-    led.counts["fault.alloc"] += run
-    if acc_count:
-        led.totals[tag] = acc_total
-        led.counts[tag] += acc_count
-    return run - 1, env.timeout_at(t)
+                acc_node[n] = acc
+    t_start = env.now
+    clock = np.empty(4 * run + 1)
+    clock[0] = t_start
+    steps = clock[1:].reshape(run, 4)
+    steps[:, 0] = entry_us
+    steps[:, 1] = anon_us
+    steps[:, 2] = alloc_us
+    steps[:last, 3] = acc_node[target] if targets is None else acc_node[targets[:last]]
+    steps[last, 3] = 0.0
+    n_acc = int(np.count_nonzero(steps[:, 3]))
+    # Python arithmetic turns the clock into an np.float64 at the first
+    # access charge: pages from np_page on see np.float64 instants.
+    if isinstance(t_start, np.float64):
+        np_page = 0
+    else:
+        np_page = int(np.argmax(steps[:, 3] > 0)) + 1 if n_acc else run
+    tags = ("fault.entry", "fault.anon", "fault.alloc", tag)
+    seeds = [led.totals.get(name, 0.0) for name in tags]
+    totals = _fold_chains(seeds, steps.T)
+    np.cumsum(clock, out=clock)
+    for i, name in enumerate(tags[:3]):
+        led.totals[name] = _typed(totals[i], isinstance(seeds[i], np.float64))
+        led.counts[name] += run
+    if n_acc:
+        led.totals[tag] = totals[3]
+        led.counts[tag] += n_acc
+    t1, t2, t3 = clock[1::4], clock[2::4], clock[3::4]
+    # Split PTLs: one chain per pmd, page j at slot (q0 + j) % 512 of
+    # its pmd's row; the zero slots leave a chain unchanged.
+    first = q0 & 511
+    holds = np.zeros(len(ptl_locks) * 512)
+    holds[first : first + run] = t3 - t1
+    sums = _fold_chains([lock.stats.hold_time for lock in ptl_locks], holds.reshape(-1, 512))
+    del holds
+    for g, lock in enumerate(ptl_locks):
+        stats = lock.stats
+        lo = max(0, (g << 9) - first)
+        hi = min(run, ((g + 1) << 9) - first)
+        stats.acquisitions += hi - lo
+        as_np = hi > np_page or isinstance(stats.hold_time, np.float64)
+        stats.hold_time = _typed(sums[g], as_np)
+    # LRU locks: one chain per target node, its other pages zeroed. A
+    # chain turns np.float64 if its node holds a page from np_page on.
+    lru_stats = [kernel.lru_locks[int(n)].stats for n in used_nodes]
+    if targets is None:
+        sums = _fold_chains([lru_stats[0].hold_time], (t3 - t2)[None, :])
+        counts = [run]
+        np_pages = [run > np_page]
+    else:
+        terms = np.where(targets == used_nodes[:, None], t3 - t2, 0.0)
+        sums = _fold_chains([stats.hold_time for stats in lru_stats], terms)
+        del terms
+        counts = node_counts[used_nodes].tolist()
+        np_pages = np.bincount(targets[np_page:], minlength=machine.num_nodes)[used_nodes] > 0
+    for i, stats in enumerate(lru_stats):
+        stats.acquisitions += counts[i]
+        as_np = bool(np_pages[i]) or isinstance(stats.hold_time, np.float64)
+        stats.hold_time = _typed(sums[i], as_np)
+    if led.sinks:
+        # Each page's charges at their per-page instants: entry, anon,
+        # alloc, then the access charge at the end of the alloc.
+        at = clock[: 4 * np_page].tolist() + list(clock[4 * np_page :])
+        nodes = [target] * run if targets is None else targets.tolist()
+        acc_of = list(acc_node)  # np.float64 scalars, as the walk charges them
+        emit = led.emit
+        for j in range(run):
+            b = 4 * j
+            emit(at[b], entry_us, "fault.entry")
+            emit(at[b + 1], anon_us, "fault.anon")
+            emit(at[b + 2], alloc_us, "fault.alloc")
+            acc = acc_of[nodes[j]]
+            if j != last and acc > 0:
+                emit(at[b + 3], acc, tag)
+    return run - 1, env.timeout_at(_typed(clock[-1], np_page < run))
+
+
+def _fold_chains(seeds, terms: np.ndarray) -> np.ndarray:
+    """Running sums ``seeds[i] + terms[i, 0] + terms[i, 1] + ...``, one
+    per row of ``terms``, each added strictly left to right.
+
+    This is how the run-op replays fold a chain of per-page (or
+    per-chunk) float additions into a clock, ledger total, lock hold
+    time or channel counter without a Python loop: ``np.cumsum``
+    (``np.add.accumulate``) adds left to right, exactly as a loop of
+    ``+=`` does. ``np.sum``, ``np.add.reduce`` and ``np.add.reduceat``
+    sum pairwise and round differently, so they never fold a chain.
+    Seeding the row with the running value (rather than summing the
+    terms from 0.0 and adding once) is what keeps the result
+    bit-identical. A row padded with ``0.0`` keeps its sum
+    (``x + 0.0 == x`` for every ``x`` but ``-0.0``).
+    """
+    lanes = np.empty((len(seeds), terms.shape[1] + 1))
+    lanes[:, 0] = seeds
+    lanes[:, 1:] = terms
+    return np.cumsum(lanes, axis=1, out=lanes)[:, -1].copy()
+
+
+def _typed(value: np.float64, as_np: bool) -> float:
+    """A folded ``value`` as the type Python arithmetic would give the
+    chain: ``np.float64`` once any of its operands was one, else a
+    plain ``float``. The equivalence suite compares types too."""
+    return value if as_np else float(value)
 
 
 def _access_cost_us_single(

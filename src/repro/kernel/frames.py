@@ -129,6 +129,42 @@ class FrameAllocator:
         self.total_allocs += count
         return picked + self._base
 
+    def alloc_chunked(self, count: int, chunk: int) -> np.ndarray:
+        """Allocate ``count`` frames with ids identical to successive
+        :meth:`alloc_many` calls of ``chunk`` frames (the last one
+        shorter), concatenated.
+
+        Each :meth:`alloc_many` call takes the free list's last ``k``
+        entries in list order, so the free-list part of the result is
+        its tail split into ``chunk``-sized blocks from the end, taken
+        last block first; the block left at the front of the tail goes
+        last, and the bump range follows it. The migration run-op
+        allocates a whole pagevec-chunked migration this way in one
+        call. All-or-nothing, and the allocator end state matches the
+        call sequence's.
+        """
+        if count < 0:
+            raise ValueError("negative count")
+        if chunk < 1:
+            raise ValueError("chunk must be positive")
+        if count > self.free:
+            raise OutOfMemory(f"node {self.node_id}: {count} frames requested, {self.free} free")
+        from_free = min(count, len(self._free))
+        picked = np.empty(count, dtype=np.int64)
+        if from_free:
+            tail = np.asarray(self._free[len(self._free) - from_free :], dtype=np.int64)
+            front = from_free % chunk
+            picked[: from_free - front] = tail[front:].reshape(-1, chunk)[::-1].ravel()
+            picked[from_free - front : from_free] = tail[:front]
+            del self._free[len(self._free) - from_free :]
+        fresh = count - from_free
+        if fresh:
+            picked[from_free:] = np.arange(self._bump, self._bump + fresh, dtype=np.int64)
+            self._bump += fresh
+        self._allocated[picked] = True
+        self.total_allocs += count
+        return picked + self._base
+
     def free_frame(self, frame: int) -> None:
         """Return one frame to the pool; detects double/foreign frees."""
         self.free_many(np.asarray([frame], dtype=np.int64))
@@ -143,7 +179,7 @@ class FrameAllocator:
         if not np.all(self._allocated[idxs]):
             raise SimulationError(f"double free on node {self.node_id}")
         self._allocated[idxs] = False
-        self._free.extend(int(i) for i in idxs)
+        self._free.extend(idxs.tolist())
         self.total_frees += idxs.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -13,8 +13,9 @@ single ``timeout_at`` event.
 This module hosts the run-ops shared by the hot paths:
 
 * :func:`migrate_run` — the synchronous migration engine
-  (``move_pages`` / ``migrate_pages`` / ``mbind(move=True)``) replayed
-  chunk by chunk without per-chunk engine events;
+  (``move_pages`` / ``migrate_pages`` / ``mbind(move=True)``), its
+  pagevec chunks replayed in NumPy with no per-chunk engine events or
+  Python loop;
 * :func:`cow_break_run` — a storm of copy-on-write break faults after
   ``fork`` (the per-page ``batch=1`` touch path);
 * :func:`swap_in_run` — a storm of swap-in faults, with slot frees and
@@ -24,7 +25,15 @@ This module hosts the run-ops shared by the hot paths:
 * :func:`replay_transfer` — an exact inline replay of an uncontended
   :class:`~repro.sim.resources.BandwidthResource` transfer (same float
   wake arithmetic, same byte counters), so run-ops can fold channel
-  I/O into their virtual clock.
+  I/O into their virtual clock (:func:`migrate_run` replays the same
+  wakes vectorized).
+
+:func:`~repro.kernel.fault.demand_zero_run` and :func:`migrate_run`
+fold every running sum — the clock, ledger totals, lock hold times,
+channel counters — with a seeded ``np.cumsum``
+(:func:`~repro.kernel.fault._fold_chains`), which adds strictly left to
+right as the reference path does; ``docs/performance.md`` §4 lists the
+rules such a replay keeps.
 
 Every run-op is all-or-nothing: it either replays the whole run with
 bit-identical simulated state, or returns ``None`` and the caller
@@ -42,7 +51,7 @@ import numpy as np
 
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel
-from .fault import _access_cost_us_single
+from .fault import _access_cost_us_single, _fold_chains, _typed
 from .pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
 from .vma import Vma
 
@@ -168,6 +177,19 @@ def migrate_run(
     single completion event for the entire run.  Returns
     ``(moved, event)`` or ``None`` to fall back.  ``idxs`` must already
     be filtered to populated pages not on ``dest_node``.
+
+    The replay is vectorized over a (chunk, source node) table: chunk
+    c's clock steps are its control, TLB and alloc charges, one copy
+    per source node and one putback per source node (0.0 where the
+    chunk has no page on that node), so one seeded ``np.cumsum`` gives
+    every instant, and every other running sum — ledger totals, lock
+    hold times, channel counters — is a seeded cumsum over its terms in
+    the per-chunk path's order (:func:`~repro.kernel.fault._fold_chains`).
+    Each copy replays :func:`replay_transfer`: the clock moves by
+    ``nbytes / rate``, and when the wake leaves more than 1e-6 bytes a
+    second wake finishes the residual without moving the clock. A copy
+    whose residual would move the clock declines the whole run before
+    anything is committed.
     """
     if not kernel.turbo_ok():
         return None
@@ -177,13 +199,10 @@ def migrate_run(
         return None
     pt = vma.pt
     all_src = pt.node[idxs]
-    srcs_all = np.unique(all_src)
+    srcs = np.flatnonzero(np.bincount(all_src, minlength=kernel.machine.num_nodes))
     lru_locks = kernel.lru_locks
-    lru = lru_locks[dest_node]
-    if lru._available <= 0 or lru._waiters:
-        return None
-    for src in srcs_all:
-        lru = lru_locks[int(src)]
+    for node in (dest_node, *srcs.tolist()):
+        lru = lru_locks[node]
         if lru._available <= 0 or lru._waiters:
             return None
     size = int(idxs.size)
@@ -199,90 +218,163 @@ def migrate_run(
     copy_tag = f"{tag}.copy"
     chunk_size = max(1, cost.migrate_pagevec)
     half_hold = cost.lru_lock_hold_us / 2
-    copy_bw = cost.kernel_page_copy_bw
-    single_src = srcs_all.size == 1
-    src0 = int(srcs_all[0]) if single_src else -1
-    # Allocate chunk by chunk — the allocator's free-tail order depends
-    # on the call sequence — then commit the whole remap in two
-    # vectorized stores and one payload move (frames are distinct
-    # within a VMA, so batching cannot reorder anything observable).
-    all_old = pt.frame[idxs].copy()
-    new_parts = [
-        kernel.alloc_on(dest_node, min(chunk_size, size - lo))
-        for lo in range(0, size, chunk_size)
+    rate = channel.capacity  # replay_transfer's rate for a capped copy
+    if cost.kernel_page_copy_bw < rate:
+        rate = cost.kernel_page_copy_bw
+    # tlb_shootdown_cost's per-page expression; nothing can start or
+    # stop a thread of this mm during the replay.
+    others = len(process.running_cores_except(thread.core))
+    tlb_us = cost.tlb_flush_local_us + cost.tlb_shootdown_per_cpu_us * others
+    # --- the (chunk, source) page-count table, sources in ascending
+    # node order as the per-chunk np.unique loop visits them.
+    nchunks = -(-size // chunk_size)
+    n_src = int(srcs.size)
+    k = np.full(nchunks, chunk_size)
+    k[-1] = size - chunk_size * (nchunks - 1)
+    if n_src == 1:
+        counts = k[:, None]
+    else:
+        num_nodes = kernel.machine.num_nodes
+        cells = np.arange(size) // chunk_size * num_nodes + all_src
+        counts = np.bincount(cells, minlength=nchunks * num_nodes).reshape(nchunks, -1)
+        counts = counts[:, srcs]
+    nbytes = counts * float(PAGE_SIZE)
+    # --- the clock: per chunk, control, TLB, alloc, copies, putbacks.
+    width = 3 + 2 * n_src
+    copies = slice(3, 3 + n_src)
+    putbacks = slice(3 + n_src, width)
+    t_start = env.now
+    clock = np.empty(nchunks * width + 1)
+    clock[0] = t_start
+    steps = clock[1:].reshape(nchunks, width)
+    steps[:, 0] = control_us * k
+    steps[:, 1] = tlb_us * k
+    steps[:, 2] = half_hold * k
+    steps[:, copies] = nbytes / rate
+    steps[:, putbacks] = half_hold * counts
+    # Per-step chains on the clock's (chunk, step) grid: the control
+    # ledger total (control, TLB, alloc, putbacks), the channel's
+    # bytes_transferred (each copy) and its _busy_integral (each copy's
+    # wake, then its residual).
+    grid = np.zeros((3, nchunks, width))
+    grid[0, :, :3] = steps[:, :3]
+    grid[0, :, putbacks] = steps[:, putbacks]
+    grid[1, :, copies] = nbytes
+    present = counts > 0
+    np.cumsum(clock, out=clock)
+    # The instants chunk c's step i starts and ends at.
+    before = clock[:-1].reshape(nchunks, width)
+    after = clock[1:].reshape(nchunks, width)
+    moved = rate * (after[:, copies] - before[:, copies])
+    left = nbytes - moved
+    second = present & (left > 1e-6)
+    # replay_transfer's premise, else decline before committing: every
+    # copy's first wake is a real one (no copy is shorter than one page,
+    # and the time epsilon only grows with the clock), and a second wake
+    # only finishes a residual, which cannot move the clock.
+    if PAGE_SIZE / rate <= max(1e-9, 8.0 * math.ulp(clock[-1])):
+        return None
+    if second.any() and np.any(
+        left[second] / rate > np.maximum(1e-9, 8.0 * np.spacing(after[:, copies][second]))
+    ):
+        return None
+    grid[2, :, 3::2] = moved
+    grid[2, :, 4::2] = np.where(second, left, 0.0)
+    step_seeds = [
+        led.totals.get(control_tag, 0.0),
+        channel.bytes_transferred,
+        channel._busy_integral,
     ]
-    all_new = np.concatenate(new_parts) if len(new_parts) > 1 else new_parts[0]
+    step_sums = _fold_chains(step_seeds, grid.reshape(3, -1))
+    control = grid[0].copy() if led.sinks else None
+    del grid
+    # Per-chunk chains, each term the span from one of the chunk's
+    # instants (``before``) to another (``after``): the copy ledger
+    # total (the alloc's end to the last copy's end) and the hold times
+    # of the dest LRU lock (the alloc), the anon_vma (control through
+    # alloc) and each source LRU lock (its putback).
+    hold_stats = [lru_locks[dest_node].stats]
+    ends, starts = [2 + n_src, 2], [3, 2]
+    if anon_vma is not None:
+        hold_stats.append(anon_vma.stats)
+        ends.append(2)
+        starts.append(0)
+    hold_stats += [lru_locks[node].stats for node in srcs.tolist()]
+    ends += range(3 + n_src, width)
+    starts += range(3 + n_src, width)
+    chunk_seeds = [led.totals.get(copy_tag, 0.0), *(stats.hold_time for stats in hold_stats)]
+    chunk_sums = _fold_chains(chunk_seeds, (after[:, ends] - before[:, starts]).T)
+    # --- commit: the remap in two vectorized stores and one payload
+    # move (frames are distinct within a VMA, so batching cannot
+    # reorder anything observable), with every chunk's frames from one
+    # allocator call that returns the per-chunk alloc_on sequence's ids.
+    all_old = pt.frame[idxs]
+    all_new = kernel.allocators[dest_node].alloc_chunked(size, chunk_size)
     kernel.move_contents(all_old, all_new)
     pt.frame[idxs] = all_new
     pt.node[idxs] = dest_node
-    # Clock/ledger/lock-stat replay: per-chunk float arithmetic exactly
-    # as the per-chunk path books it, but with no engine events and —
-    # for the common single-source run — no per-chunk array work.
-    anon_stats = anon_vma.stats if anon_vma is not None else None
-    dest_lru_stats = lru_locks[dest_node].stats
-    t = env.now
-    moved = 0
-    for lo in range(0, size, chunk_size):
-        k = chunk_size if lo + chunk_size <= size else size - lo
-        if anon_stats is not None:
-            anon_stats.acquisitions += 1
-            t_anon = t
-        # Control + per-page TLB shootdowns: booked separately, slept
-        # once — the same fold the chunked turbo branch used. Every
-        # prospective add is stamped with its charge's start, the
-        # retrospective copy add with the transfer's end.
-        c = control_us * k
-        led.add(control_tag, c, t)
-        t = t + c
-        c = kernel.tlb_shootdown_cost(process, thread.core, k)
-        led.add(control_tag, c, t)
-        t = t + c
-        # Destination LRU lock held across the alloc charge.
-        dest_lru_stats.acquisitions += 1
-        since = t
-        c = half_hold * k
-        led.add(control_tag, c, t)
-        t = t + c
-        dest_lru_stats.hold_time += t - since
-        if anon_stats is not None:
-            anon_stats.hold_time += t - t_anon
-        # Copy outside the rmap lock, grouped by source node, then put
-        # the old frames back under their source LRU locks.
-        t0 = t
-        if single_src:
-            t = replay_transfer(channel, float(k) * PAGE_SIZE, copy_bw, t)
-            led.add(copy_tag, t - t0, t)
-            stats = lru_locks[src0].stats
-            stats.acquisitions += 1
-            since = t
-            c = half_hold * k
-            led.add(control_tag, c, t)
-            t = t + c
-            stats.hold_time += t - since
-        else:
-            src_nodes = all_src[lo : lo + k]
-            srcs = np.unique(src_nodes)
-            for src in srcs:
-                count = int(np.count_nonzero(src_nodes == src))
-                t = replay_transfer(channel, float(count) * PAGE_SIZE, copy_bw, t)
-            led.add(copy_tag, t - t0, t)
-            for src in srcs:
-                stats = lru_locks[int(src)].stats
-                stats.acquisitions += 1
-                since = t
-                c = half_hold * int(np.count_nonzero(src_nodes == src))
-                led.add(control_tag, c, t)
-                t = t + c
-                stats.hold_time += t - since
-        moved += k
-    kernel.stats.pages_migrated += moved
+    kstats = kernel.stats
+    kstats.tlb_shootdowns += size
+    kstats.tlb_ipis += size * others
+    kstats.tlb_local_flushes += size
+    kstats.pages_migrated += size
     # One op per pagevec chunk, as the per-chunk path books them.
-    kernel.stats.record_run("migrate", moved, ops=(size + chunk_size - 1) // chunk_size)
-    kernel.stats.record_migration(tag, moved)
+    kstats.record_run("migrate", size, ops=nchunks)
+    kstats.record_migration(tag, size)
     # The frees the per-chunk putback would have done, in the same
     # per-allocator append order (index order within each source node).
     kernel.release_frames(all_old)
-    return moved, env.timeout_at(t)
+    # Write back every chain. Python arithmetic keeps a sum a float
+    # unless an operand is an np.float64: the clock's own type, and each
+    # seed's.
+    clock_np = isinstance(t_start, np.float64)
+    n_pairs = int(np.count_nonzero(present))
+    led.totals[control_tag] = _typed(step_sums[0], isinstance(step_seeds[0], np.float64))
+    led.counts[control_tag] += 3 * nchunks + n_pairs
+    channel.bytes_transferred = _typed(step_sums[1], isinstance(step_seeds[1], np.float64))
+    channel._busy_integral = _typed(
+        step_sums[2], clock_np or isinstance(step_seeds[2], np.float64)
+    )
+    channel._wake_generation += 2 * n_pairs + int(np.count_nonzero(second))
+    channel._last_update = _typed(after[-1, 2 + n_src], clock_np)
+    copy_np = clock_np or isinstance(chunk_seeds[0], np.float64)
+    led.totals[copy_tag] = _typed(chunk_sums[0], copy_np)
+    led.counts[copy_tag] += nchunks
+    acquisitions = [nchunks] * (len(hold_stats) - n_src) + present.sum(axis=0).tolist()
+    for stats, total, acquired in zip(hold_stats, chunk_sums[1:], acquisitions):
+        stats.acquisitions += acquired
+        stats.hold_time = _typed(total, clock_np or isinstance(stats.hold_time, np.float64))
+    if led.sinks:
+        _emit_migrate(led, control_tag, copy_tag, control, before, after, counts, clock_np)
+    return size, env.timeout_at(_typed(clock[-1], clock_np))
+
+
+def _emit_migrate(led, control_tag, copy_tag, control, before, after, counts, clock_np):
+    """Feed :func:`migrate_run`'s charges to the ledger sinks in the
+    per-chunk path's order, each at its per-chunk instant: control,
+    TLB and alloc at their starts, the copy at its end, then each
+    source's putback at its start. ``control`` holds the control
+    charges on the clock's (chunk, step) grid; instants and copy
+    durations are np.float64 scalars if ``clock_np``, else floats."""
+    width = control.shape[1]
+    n_src = (width - 3) // 2
+    scalars = list if clock_np else np.ndarray.tolist
+    copy_end = after[:, 2 + n_src]
+    at = scalars(before.ravel())
+    ends = scalars(copy_end)
+    copy_us = scalars(copy_end - after[:, 2])
+    charge_us = control.ravel().tolist()
+    emit = led.emit
+    for c, row in enumerate(counts.tolist()):
+        b = c * width
+        emit(at[b], charge_us[b], control_tag)
+        emit(at[b + 1], charge_us[b + 1], control_tag)
+        emit(at[b + 2], charge_us[b + 2], control_tag)
+        emit(ends[c], copy_us[c], copy_tag)
+        for j, count in enumerate(row):
+            if count:
+                p = b + 3 + n_src + j
+                emit(at[p], charge_us[p], control_tag)
 
 
 # -------------------------------------------------------------- cow break ---

@@ -105,6 +105,18 @@ def canonical(ex: OpExecutor) -> dict:
         ],
         "lru": [_lock_stats(lock.stats) for lock in k.lru_locks],
         "swap_used": k.swap.used if getattr(k, "swap", None) is not None else 0,
+        # The migration channels: what the run-op copy replays must
+        # leave exactly as the event-driven transfers do, down to the
+        # wake count a residual second wake bumps.
+        "channels": {
+            key: (
+                ch.bytes_transferred,
+                ch._busy_integral,
+                ch._last_update,
+                ch._wake_generation,
+            )
+            for key, ch in sorted(k._channels.items())
+        },
     }
     procs = {}
     for name, proc in sorted(ex.procs.items()):
@@ -226,13 +238,17 @@ def test_corpus_covers_every_op_kind():
 
 @pytest.mark.parametrize("interleave", [False, True])
 def test_turbo_demand_zero_matches_slow_path(interleave):
-    """Targeted per-page walk: one big touch at batch=1 with a
-    non-zero access cost, under DEFAULT and INTERLEAVE policies
-    (the two allocation shapes the turbo commit implements)."""
+    """Targeted per-page walk: touches at batch=1 with a non-zero
+    access cost, under DEFAULT and INTERLEAVE policies (the two
+    allocation shapes the turbo commit implements). The touch runs as
+    two storms, pages 0-36 then 37-1499, so the second storm's first
+    pmd lock and its LRU locks already hold time: each page's hold
+    must fold into that running total in page order."""
 
     def script(ex):
         proc = ex.procs["p0"]
         npages = 1500
+        split = 37
 
         def body(t):
             addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW)
@@ -240,13 +256,14 @@ def test_turbo_demand_zero_matches_slow_path(interleave):
                 yield from t.mbind(
                     addr, npages * PAGE_SIZE, MemPolicy.interleave(0, 1, 2, 3)
                 )
-            yield from t.touch(
-                addr,
-                npages * PAGE_SIZE,
-                write=True,
-                batch=1,
-                bytes_per_page=float(PAGE_SIZE),
-            )
+            for lo, hi in ((0, split), (split, npages)):
+                yield from t.touch(
+                    addr + lo * PAGE_SIZE,
+                    (hi - lo) * PAGE_SIZE,
+                    write=True,
+                    batch=1,
+                    bytes_per_page=float(PAGE_SIZE),
+                )
             return addr
 
         _spawn(ex, proc, 0, body)
@@ -284,23 +301,36 @@ def _assert_script_equivalent(script, bytes_per_page: float = 0.0):
     _assert_same_trace(fast_tracer, slow_tracer)
 
 
-@pytest.mark.parametrize("multi_src", [False, True])
-def test_migrate_run_matches_slow_path(multi_src):
-    """A 1500-page move_pages call: single-source (bind) and
-    multi-source (interleaved) runs through migrate_run."""
+@pytest.mark.parametrize("shape", ["single_src", "multi_src", "reuse", "late"])
+def test_migrate_run_matches_slow_path(shape):
+    """A 1500-page move_pages call through migrate_run, in four shapes:
+
+    * ``single_src`` (bound) and ``multi_src`` (interleaved) sources;
+    * ``reuse``: a first buffer is moved to node 1 and unmapped, so a
+      second buffer's 93 full chunks and 12-page tail take their frames
+      from node 1's free list, in the per-chunk allocation order;
+    * ``late``: the move starts at t = 2**24 + 3.3 us, where every
+      chunk's copy takes the channel's residual second wake.
+    """
 
     def script(ex):
         proc = ex.procs["p0"]
         npages = 1500
+        nbytes = npages * PAGE_SIZE
 
         def body(t):
-            addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW)
-            if multi_src:
-                yield from t.mbind(
-                    addr, npages * PAGE_SIZE, MemPolicy.interleave(0, 1, 2, 3)
-                )
-            yield from t.touch(addr, npages * PAGE_SIZE)
-            yield from t.move_range(addr, npages * PAGE_SIZE, 1)
+            if shape == "reuse":
+                first = yield from t.mmap(nbytes, PROT_RW)
+                yield from t.touch(first, nbytes)
+                yield from t.move_range(first, nbytes, 1)
+                yield from t.munmap(first, nbytes)
+            addr = yield from t.mmap(nbytes, PROT_RW)
+            if shape == "multi_src":
+                yield from t.mbind(addr, nbytes, MemPolicy.interleave(0, 1, 2, 3))
+            yield from t.touch(addr, nbytes)
+            if shape == "late":
+                yield t.compute(2**24 + 3.3)
+            yield from t.move_range(addr, nbytes, 1)
 
         _spawn(ex, proc, 0, body)
 

@@ -105,3 +105,58 @@ def test_capacity_from_bytes():
 
 def test_stride_large_enough_for_8gb_nodes():
     assert (8 << 30) // PAGE_SIZE < (1 << NODE_STRIDE_SHIFT)
+
+
+def _scrambled(seed: int, pages: int = 256) -> FrameAllocator:
+    """An allocator with half its frames used and a seeded shuffle of
+    64 of them back on the free list, so list order is not id order."""
+    rng = np.random.default_rng(seed)
+    fa = make(pages=pages)
+    fa.free_many(rng.permutation(fa.alloc_many(pages // 2))[:64])
+    return fa
+
+
+def _state(fa: FrameAllocator) -> tuple:
+    return (
+        list(fa._free),
+        fa._bump,
+        fa.total_allocs,
+        fa.total_frees,
+        np.flatnonzero(fa._allocated).tolist(),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 300])
+@pytest.mark.parametrize("count", [0, 5, 37, 64, 100, 190])
+def test_alloc_chunked_matches_per_chunk_alloc_many(count, chunk):
+    """One ``alloc_chunked`` call returns the ids of the per-chunk
+    ``alloc_many`` sequence (the migration path's pagevec loop) and
+    leaves the same free list, bump pointer and counters: counts
+    below, at and above the 64-entry free list, full and partial
+    tail chunks, and a chunk straddling the end of the free list."""
+    one, per_chunk = _scrambled(count), _scrambled(count)
+    got = one.alloc_chunked(count, chunk)
+    parts = [per_chunk.alloc_many(min(chunk, count - lo)) for lo in range(0, count, chunk)]
+    want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert _state(one) == _state(per_chunk)
+
+
+def test_alloc_chunked_all_or_nothing():
+    fa = _scrambled(3)
+    before = _state(fa)
+    with pytest.raises(OutOfMemory):
+        fa.alloc_chunked(fa.free + 1, 16)
+    assert _state(fa) == before
+
+
+@pytest.mark.parametrize("count", [0, 9, 64, 150])
+def test_alloc_seq_matches_single_allocs(count):
+    """``alloc_seq(n)`` returns the ids of ``n`` successive ``alloc()``
+    calls (LIFO pops, then the bump range), with the same end state."""
+    seq, single = _scrambled(count), _scrambled(count)
+    got = seq.alloc_seq(count)
+    want = [single.alloc() for _ in range(count)]
+    assert got.tolist() == want
+    assert _state(seq) == _state(single)
