@@ -44,10 +44,10 @@ A lease stops (and the client falls back to one per-request iteration,
 consuming the *same* pre-drawn Zipfian pair) at the first disqualifier:
 
 * the global gate :func:`serve_turbo_ok` is off
-  (``force_slow_path``, which ``REPRO_SLOW_PATH=1`` sets,
-  ``debug_checks``, an attached tracepoint recorder, or an attached
-  ledger sink such as a tracer, whose samples the deferred ``serve.*``
-  replay would deliver out of engine order);
+  (``force_slow_path``, which ``REPRO_SLOW_PATH=1`` sets, an attached
+  tracepoint recorder, or an attached ledger sink such as a tracer,
+  whose samples the deferred ``serve.*`` replay would deliver out of
+  engine order);
 * the tenant's policy driver is due to wake inside the horizon — the
   lease never crosses ``tenant.next_wake``, so ticks, heat snapshots
   and time-series samples see exactly the slow world's state;
@@ -103,10 +103,11 @@ _NO_TABLE = object()
 def serve_turbo_ok(kernel) -> bool:
     """Whether the serve batching layer may plan ahead of simulated time.
 
-    Mirrors ``Kernel.turbo_ok`` *except* for the ``env.idle`` clause:
-    serve clients always have runnable peers, so the controller instead
-    guarantees non-interference structurally (lease horizons never
-    cross a driver wake, effects drain before any observer runs).
+    Shares ``Kernel.turbo_ok``'s ``force_slow_path`` and tracepoint
+    clauses but not its ``env.idle`` clause: serve clients always have
+    runnable peers, so the controller instead guarantees
+    non-interference structurally (lease horizons never cross a driver
+    wake, effects drain before any observer runs).
 
     Unlike the kernel gate it also declines while any ledger sink is
     attached (a :class:`~repro.sim.trace.Tracer`): a lease defers its
@@ -116,7 +117,6 @@ def serve_turbo_ok(kernel) -> bool:
     """
     return (
         not kernel.force_slow_path
-        and not kernel.debug_checks
         and not tracepoints.tracepoints_enabled()
         and not kernel.ledger.sinks
     )

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..util.units import PAGE_SIZE
 
 __all__ = ["CostModel", "opteron_8347he", "modern_dual_socket", "fast_uniform"]
 
@@ -194,10 +193,6 @@ class CostModel:
         if hops == 1:
             return self.numa_factor_1hop
         return self.numa_factor_2hop
-
-    def page_copy_us(self) -> float:
-        """In-kernel copy time for one base page (µs)."""
-        return PAGE_SIZE / self.kernel_page_copy_bw
 
     def replace(self, **changes) -> "CostModel":
         """A copy of this profile with some constants overridden."""

@@ -295,14 +295,3 @@ class AddressSpace:
             stop = min(vma.npages, ((end - 1 - vma.start) >> PAGE_SHIFT) + 1)
             yield vma, first, stop
             pos = vma.addr_of_page(stop - 1) + PAGE_SIZE
-
-    def check_invariants(self) -> None:
-        """Assert the VMA list is sorted, non-overlapping and each
-        page table internally consistent."""
-        for a, b in zip(self._vmas, self._vmas[1:]):
-            if a.end > b.start:
-                raise SimulationError(f"overlapping VMAs {a!r} / {b!r}")
-        if self._starts != [v.start for v in self._vmas]:
-            raise SimulationError("starts index out of sync")
-        for vma in self._vmas:
-            vma.pt.check_invariants()

@@ -84,7 +84,6 @@ class Kernel:
         machine: Machine,
         *,
         track_contents: bool = False,
-        debug_checks: bool = False,
     ) -> None:
         self.env = env
         self.machine = machine
@@ -94,8 +93,6 @@ class Kernel:
         self.numastat = NumaStats(machine.num_nodes)
         #: Whether page contents are carried (tests) or elided (speed).
         self.track_contents = track_contents
-        #: Run page-table invariant checks after every state change.
-        self.debug_checks = debug_checks
         self.fabric = LinkFabric(env, machine.interconnect)
         self.allocators = [FrameAllocator(n.id, n.mem_bytes) for n in machine.nodes]
         #: Per-node zone ``lru_lock`` serializing alloc/putback paths.
@@ -117,11 +114,11 @@ class Kernel:
         self.files: list = []
         self._next_pid = 1
         self.processes: list[SimProcess] = []
-        #: Wall-clock fast paths (turbo faults, merged charges) are on
-        #: by default; ``REPRO_SLOW_PATH=1`` in the environment at
+        #: Wall-clock fast paths (the run-op replays) are on by
+        #: default; ``REPRO_SLOW_PATH=1`` in the environment at
         #: construction — or setting this on an instance — forces the
-        #: per-page/per-charge reference paths (the equivalence suite
-        #: diffs the two). Simulated results are identical either way.
+        #: per-page reference paths (the equivalence suite diffs the
+        #: two). Simulated results are identical either way.
         self.force_slow_path = os.environ.get("REPRO_SLOW_PATH", "") in ("1", "true", "yes")
         #: Optional access profiler (:class:`repro.kernel.heat.HeatTracker`)
         #: the touch paths report resident accesses into. ``None`` (the
@@ -171,42 +168,25 @@ class Kernel:
         return self.env.timeout(duration_us)
 
     def turbo_ok(self) -> bool:
-        """Whether the wall-clock fast paths may engage right now.
+        """Whether the run-op replays may engage right now.
 
+        It gates the four replays: ``demand_zero_run``,
+        ``migrate_run``, ``cow_break_run`` and ``swap_in_run``.
         The load-bearing condition is ``env.idle``: with nothing else
         scheduled, no other process can run — or observe intermediate
-        state — before the fast path schedules its own completion, so
+        state — before a replay schedules its own completion, so
         replaying a multi-event sequence inline is indistinguishable
-        from stepping through it. The remaining checks keep tracepoint
-        recorders and debug invariant sweeps on the reference path,
-        where their per-event spans still exist. Ledger sinks (an
-        attached :class:`~repro.sim.trace.Tracer`) need no clause:
-        every replay hands them each charge's simulated instant.
+        from stepping through it. Tracepoint recorders keep the
+        reference path, where their per-event spans still exist.
+        Ledger sinks (an attached :class:`~repro.sim.trace.Tracer`)
+        need no clause: every replay hands them each charge's
+        simulated instant.
         """
         return (
             not self.force_slow_path
-            and not self.debug_checks
             and self.env.idle
             and not tracepoints.tracepoints_enabled()
         )
-
-    def charge_run(self, charges) -> Event:
-        """One merged timeout event for a run of consecutive charges.
-
-        ``charges`` is an iterable of ``(tag, duration_us)``. Ledger
-        entries and the completion instant are computed exactly as the
-        per-charge path would (per-entry ledger adds, sequential float
-        additions for the deadline), so simulated results stay
-        bit-identical — only the number of engine events drops. Each
-        add carries its charge's start, the instant the per-charge path
-        would book it at. Callers must hold the :meth:`turbo_ok` gate.
-        """
-        t = self.env.now
-        add = self.ledger.add
-        for tag, duration_us in charges:
-            add(tag, duration_us, t)
-            t = t + duration_us
-        return self.env.timeout_at(t)
 
     # ------------------------------------------------------------ frames -----
     def alloc_on(self, node: int, count: int) -> np.ndarray:
@@ -344,11 +324,6 @@ class Kernel:
         )
 
     # ------------------------------------------------------------ TLB --------
-    def tlb_flush_local(self, tag: str = "tlb"):
-        """Cost event for flushing the local CPU's TLB."""
-        self.stats.tlb_local_flushes += 1
-        return self.charge(tag, self.cost.tlb_flush_local_us)
-
     def tlb_shootdown(self, process: "SimProcess", initiator_core: int, tag: str = "tlb"):
         """Cost event for a TLB shootdown over the process's CPU set.
 
@@ -373,9 +348,10 @@ class Kernel:
     ) -> float:
         """Stat bumps plus the cost of ``count`` shootdowns, *uncharged*.
 
-        Split out so the coalesced-charge migration path can fold the
-        shootdown cost into a merged :meth:`charge_run` while keeping
-        the counters and the float expression identical.
+        Split out so the ``fork``/``mprotect``/``madvise`` tails can
+        pass it to :func:`~repro.kernel.runops.charge_stages` as a
+        callable stage: the running-core set is read when that stage
+        starts, after the stage before it has slept.
         """
         others = process.running_cores_except(initiator_core)
         self.stats.tlb_shootdowns += count

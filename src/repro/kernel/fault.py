@@ -158,8 +158,6 @@ def _handle_fault_locked(kernel: Kernel, thread: "SimThread", addr: int, write: 
                 ptl.release()
     finally:
         process.mmap_sem.release_read()
-    if kernel.debug_checks:
-        process.addr_space.check_invariants()
 
 
 def _demand_zero(kernel: Kernel, thread: "SimThread", vma: Vma, idx: int, write: bool):
@@ -449,72 +447,58 @@ def demand_zero_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nd
     cost = kernel.cost
     ptl = process.ptl(vma.start, int(idxs[0]))
     yield ptl.acquire()
-    # Atomic: filter + allocate + map in one step (see nt_fault_batch).
-    still = vma.pt.frame[idxs] < 0
-    idxs = idxs[still]
-    if idxs.size == 0:
-        ptl.release()
-        return
-    k = int(idxs.size)
-    policy = process.policy_for(vma)
-    local = kernel.machine.node_of_core(thread.core)
-    allowed = process.allowed_mems
-    if policy.kind is PolicyKind.INTERLEAVE:
-        targets = interleave_nodes(policy, idxs)
-        if allowed is not None:
-            # cpuset confinement: clamp disallowed targets to the set.
-            table = np.asarray(allowed, dtype=np.int16)
-            bad = ~np.isin(targets, table)
-            targets = targets.copy()
-            targets[bad] = table[idxs[bad] % table.size]
-    else:
-        nodes, _strict = candidate_nodes(policy, int(idxs[0]), local, kernel.machine.num_nodes)
-        if allowed is not None:
-            nodes = [n for n in nodes if n in allowed]
-            if not nodes:
-                from ..errors import OutOfMemory
-
-                raise OutOfMemory("memory policy incompatible with cpuset mems")
-        targets = np.full(k, nodes[0], dtype=np.int16)
-    writable = vma.allows(True)
-    interleaved = policy.kind is PolicyKind.INTERLEAVE
-    for node in np.unique(targets):
-        sel = targets == node
-        count = int(np.count_nonzero(sel))
-        frames = kernel.alloc_on(int(node), count)
-        kernel.numastat.record(int(node), int(node), count, interleaved)
-        vma.pt.map_pages(idxs[sel], frames, np.full(count, node, dtype=np.int16), writable)
-        if tracepoints.active(kernel):
-            tracepoints.emit(
-                "fault:demand_zero",
-                kernel,
-                pid=process.pid,
-                vma=vma.start,
-                node=int(node),
-                pages=count,
-            )
-    kernel.stats.minor_faults += k
-    kernel.stats.pages_first_touched += k
-    kernel.stats.record_run("demand_zero", k)
     try:
-        if kernel.turbo_ok():
-            # Coalesced: the three per-batch charges in one engine event
-            # (identical ledger entries and completion instant).
-            yield kernel.charge_run(
-                (
-                    ("fault.entry", cost.fault_entry_us * k),
-                    ("fault.anon", cost.anon_fault_us * k),
-                    ("fault.alloc", cost.lru_lock_hold_us / 2 * k),
-                )
-            )
+        # Atomic: filter + allocate + map in one step (see nt_fault_batch).
+        still = vma.pt.frame[idxs] < 0
+        idxs = idxs[still]
+        if idxs.size == 0:
+            return
+        k = int(idxs.size)
+        policy = process.policy_for(vma)
+        local = kernel.machine.node_of_core(thread.core)
+        allowed = process.allowed_mems
+        if policy.kind is PolicyKind.INTERLEAVE:
+            targets = interleave_nodes(policy, idxs)
+            if allowed is not None:
+                # cpuset confinement: clamp disallowed targets to the set.
+                table = np.asarray(allowed, dtype=np.int16)
+                bad = ~np.isin(targets, table)
+                targets = targets.copy()
+                targets[bad] = table[idxs[bad] % table.size]
         else:
-            yield kernel.charge("fault.entry", cost.fault_entry_us * k)
-            yield kernel.charge("fault.anon", cost.anon_fault_us * k)
-            yield kernel.charge("fault.alloc", cost.lru_lock_hold_us / 2 * k)
+            nodes, _strict = candidate_nodes(policy, int(idxs[0]), local, kernel.machine.num_nodes)
+            if allowed is not None:
+                nodes = [n for n in nodes if n in allowed]
+                if not nodes:
+                    from ..errors import OutOfMemory
+
+                    raise OutOfMemory("memory policy incompatible with cpuset mems")
+            targets = np.full(k, nodes[0], dtype=np.int16)
+        writable = vma.allows(True)
+        interleaved = policy.kind is PolicyKind.INTERLEAVE
+        for node in np.unique(targets):
+            sel = targets == node
+            count = int(np.count_nonzero(sel))
+            frames = kernel.alloc_on(int(node), count)
+            kernel.numastat.record(int(node), int(node), count, interleaved)
+            vma.pt.map_pages(idxs[sel], frames, np.full(count, node, dtype=np.int16), writable)
+            if tracepoints.active(kernel):
+                tracepoints.emit(
+                    "fault:demand_zero",
+                    kernel,
+                    pid=process.pid,
+                    vma=vma.start,
+                    node=int(node),
+                    pages=count,
+                )
+        kernel.stats.minor_faults += k
+        kernel.stats.pages_first_touched += k
+        kernel.stats.record_run("demand_zero", k)
+        yield kernel.charge("fault.entry", cost.fault_entry_us * k)
+        yield kernel.charge("fault.anon", cost.anon_fault_us * k)
+        yield kernel.charge("fault.alloc", cost.lru_lock_hold_us / 2 * k)
     finally:
         ptl.release()
-    if kernel.debug_checks:
-        vma.pt.check_invariants()
 
 
 def nt_fault_batch(
@@ -540,101 +524,91 @@ def nt_fault_batch(
     cost = kernel.cost
     ptl = process.ptl(vma.start, int(idxs[0]))
     yield ptl.acquire()
-    # --- atomic section (no yields): re-check flags and commit the new
-    # mapping in one step, so a racing faulter — even one serialized by
-    # a different PTL when batches span pmd boundaries — can never
-    # migrate the same page twice.
-    still = (vma.pt.flags[idxs] & PTE_NEXTTOUCH) != 0
-    idxs = idxs[still]
-    if idxs.size == 0:
-        ptl.release()
-        return
-    k = int(idxs.size)
-    kernel.stats.nt_faults += k
-    kernel.stats.record_run("nt_fault", k)
-    src_nodes = vma.pt.node[idxs].copy()
-    moving = src_nodes != dest
-    stay_idxs = idxs[~moving]
-    move_idxs = idxs[moving]
-    # Pages already local: clear the flag and revalidate — no copy,
-    # no useless migration (Section 3.4). Frames still shared (fork/
-    # COW siblings) come back write-protected COW: the revalidation
-    # must not skip the unsharing the first write owes.
-    if stay_idxs.size:
-        shared = kernel.frames_shared_mask(vma.pt.frame[stay_idxs])
-        vma.pt.clear_next_touch(stay_idxs, vma.allows(True), cow=shared)
-        if tracepoints.active(kernel):
-            tracepoints.emit(
-                "fault:nt_stay",
-                kernel,
-                pid=process.pid,
-                vma=vma.start,
-                node=int(dest),
-                pages=int(stay_idxs.size),
-            )
-    move_srcs = src_nodes[moving]
-    old_frames = vma.pt.frame[move_idxs].copy()
-    if move_idxs.size:
-        # Order-0 allocation goes through the per-cpu pageset fast
-        # path: no zone lru_lock, unlike the synchronous migration
-        # engine's isolate/putback dance.
-        new_frames = kernel.alloc_on(dest, int(move_idxs.size))
-        kernel.move_contents(old_frames, new_frames)
-        vma.pt.frame[move_idxs] = new_frames
-        vma.pt.node[move_idxs] = dest
-        vma.pt.clear_next_touch(move_idxs, vma.allows(True))
-        kernel.stats.pages_migrated += int(move_idxs.size)
-        kernel.stats.record_migration("nexttouch", int(move_idxs.size))
-        if tracepoints.active(kernel):
-            tracepoints.emit(
-                "fault:nt_migrate",
-                kernel,
-                pid=process.pid,
-                vma=vma.start,
-                dest=int(dest),
-                pages=int(move_idxs.size),
-            )
-    # --- end of atomic section; now pay for it.
     try:
+        # --- atomic section (no yields): re-check flags and commit the new
+        # mapping in one step, so a racing faulter — even one serialized by
+        # a different PTL when batches span pmd boundaries — can never
+        # migrate the same page twice.
+        still = (vma.pt.flags[idxs] & PTE_NEXTTOUCH) != 0
+        idxs = idxs[still]
+        if idxs.size == 0:
+            return
+        k = int(idxs.size)
+        kernel.stats.nt_faults += k
+        kernel.stats.record_run("nt_fault", k)
+        src_nodes = vma.pt.node[idxs].copy()
+        moving = src_nodes != dest
+        stay_idxs = idxs[~moving]
+        move_idxs = idxs[moving]
+        # Pages already local: clear the flag and revalidate — no copy,
+        # no useless migration (Section 3.4). Frames still shared (fork/
+        # COW siblings) come back write-protected COW: the revalidation
+        # must not skip the unsharing the first write owes.
+        if stay_idxs.size:
+            shared = kernel.frames_shared_mask(vma.pt.frame[stay_idxs])
+            vma.pt.clear_next_touch(stay_idxs, vma.allows(True), cow=shared)
+            if tracepoints.active(kernel):
+                tracepoints.emit(
+                    "fault:nt_stay",
+                    kernel,
+                    pid=process.pid,
+                    vma=vma.start,
+                    node=int(dest),
+                    pages=int(stay_idxs.size),
+                )
+        move_srcs = src_nodes[moving]
+        old_frames = vma.pt.frame[move_idxs].copy()
+        if move_idxs.size:
+            # Order-0 allocation goes through the per-cpu pageset fast
+            # path: no zone lru_lock, unlike the synchronous migration
+            # engine's isolate/putback dance.
+            new_frames = kernel.alloc_on(dest, int(move_idxs.size))
+            kernel.move_contents(old_frames, new_frames)
+            vma.pt.frame[move_idxs] = new_frames
+            vma.pt.node[move_idxs] = dest
+            vma.pt.clear_next_touch(move_idxs, vma.allows(True))
+            kernel.stats.pages_migrated += int(move_idxs.size)
+            kernel.stats.record_migration("nexttouch", int(move_idxs.size))
+            if tracepoints.active(kernel):
+                tracepoints.emit(
+                    "fault:nt_migrate",
+                    kernel,
+                    pid=process.pid,
+                    vma=vma.start,
+                    dest=int(dest),
+                    pages=int(move_idxs.size),
+                )
+        # --- end of atomic section; now pay for it.
         # Each page in the batch is a distinct hardware fault; the
         # caller may have already paid the entry cost of the first one.
         entries = k - (1 if entry_charged else 0)
         control_us = k * cost.nt_fault_control_us + entries * cost.fault_entry_us
-        if move_idxs.size and kernel.turbo_ok():
-            # Coalesced: control + alloc charges in one engine event.
-            yield kernel.charge_run(
-                (
-                    ("nt.control", control_us),
-                    ("nt.alloc", cost.nt_pcp_alloc_us * move_idxs.size),
-                )
+        t0 = kernel.env.now
+        yield kernel.charge("nt.control", control_us)
+        if tracepoints.active(kernel):
+            tracepoints.emit(
+                "migrate:phase_lookup",
+                kernel,
+                tag="nt",
+                pid=process.pid,
+                vma=vma.start,
+                pages=k,
+                dur_us=kernel.env.now - t0,
             )
-        else:
+        if move_idxs.size:
             t0 = kernel.env.now
-            yield kernel.charge("nt.control", control_us)
+            yield kernel.charge("nt.alloc", cost.nt_pcp_alloc_us * move_idxs.size)
             if tracepoints.active(kernel):
                 tracepoints.emit(
-                    "migrate:phase_lookup",
+                    "migrate:phase_alloc",
                     kernel,
                     tag="nt",
                     pid=process.pid,
                     vma=vma.start,
-                    pages=k,
+                    dest=int(dest),
+                    pages=int(move_idxs.size),
                     dur_us=kernel.env.now - t0,
                 )
-            if move_idxs.size:
-                t0 = kernel.env.now
-                yield kernel.charge("nt.alloc", cost.nt_pcp_alloc_us * move_idxs.size)
-                if tracepoints.active(kernel):
-                    tracepoints.emit(
-                        "migrate:phase_alloc",
-                        kernel,
-                        tag="nt",
-                        pid=process.pid,
-                        vma=vma.start,
-                        dest=int(dest),
-                        pages=int(move_idxs.size),
-                        dur_us=kernel.env.now - t0,
-                    )
         # A fraction of the copy holds the PTL (COW-style; 1.0 by
         # default — see CostModel.nt_copy_locked_fraction).
         if move_idxs.size and cost.nt_copy_locked_fraction > 0:
@@ -701,5 +675,3 @@ def nt_fault_batch(
                 pages=int(old_frames.size),
                 dur_us=kernel.env.now - t0,
             )
-    if kernel.debug_checks:
-        vma.pt.check_invariants()

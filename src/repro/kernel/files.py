@@ -191,8 +191,6 @@ def file_fault_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nda
         yield kernel.charge("filemap.fault", kernel.cost.fault_entry_us * idxs.size)
     finally:
         ptl.release()
-    if kernel.debug_checks:
-        vma.pt.check_invariants()
 
 
 def page_cache_stats(file: SimFile) -> dict[str, int]:

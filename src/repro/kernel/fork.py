@@ -98,9 +98,6 @@ def sys_fork(kernel: Kernel, thread: "SimThread"):
         )
     finally:
         parent.mmap_sem.release_write()
-    if kernel.debug_checks:
-        parent.addr_space.check_invariants()
-        child.addr_space.check_invariants()
     return child
 
 

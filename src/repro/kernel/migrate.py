@@ -94,27 +94,11 @@ def migrate_vma_pages(
             vma.pt.node[chunk] = dest_node
             # --- end of atomic section; now pay for it.
             t0 = kernel.env.now
-            if kernel.turbo_ok():
-                # Both charges land on the same ledger tag with no
-                # observer between them: book them separately but
-                # sleep once (identical float fold, one engine event).
-                yield kernel.charge_run(
-                    (
-                        (f"{tag}.control", control_us * k),
-                        (
-                            f"{tag}.control",
-                            kernel.tlb_shootdown_cost(process, thread.core, k),
-                        ),
-                    )
-                )
-            else:
-                yield kernel.charge(f"{tag}.control", control_us * k)
-                # 2.6.27 migration flushes per page (no batching of the
-                # unmap flushes): k shootdowns, each IPI-ing every other
-                # CPU running this mm — the Figure 7 sync-scaling limiter.
-                yield kernel.tlb_shootdown_batch(
-                    process, thread.core, k, tag=f"{tag}.control"
-                )
+            yield kernel.charge(f"{tag}.control", control_us * k)
+            # 2.6.27 migration flushes per page (no batching of the
+            # unmap flushes): k shootdowns, each IPI-ing every other
+            # CPU running this mm — the Figure 7 sync-scaling limiter.
+            yield kernel.tlb_shootdown_batch(process, thread.core, k, tag=f"{tag}.control")
             if tracepoints.active(kernel):
                 tracepoints.emit(
                     "migrate:phase_lookup",
@@ -196,6 +180,4 @@ def migrate_vma_pages(
         kernel.stats.pages_migrated += k
         kernel.stats.record_run("migrate", k)
         kernel.stats.record_migration(tag, k)
-    if kernel.debug_checks:
-        vma.pt.check_invariants()
     return moved

@@ -20,8 +20,8 @@ This module hosts the run-ops shared by the hot paths:
   ``fork`` (the per-page ``batch=1`` touch path);
 * :func:`swap_in_run` — a storm of swap-in faults, with slot frees and
   frame allocation batched via :meth:`FrameAllocator.alloc_seq`;
-* :func:`charge_stages` — the generic "N consecutive charges, one
-  event" fold used by ``fork``/``mprotect``/``madvise`` tails;
+* :func:`charge_stages` — the ``fork``/``mprotect``/``madvise``
+  tails' consecutive charges, one event per stage;
 * :func:`replay_transfer` — an exact inline replay of an uncontended
   :class:`~repro.sim.resources.BandwidthResource` transfer (same float
   wake arithmetic, same byte counters), so run-ops can fold channel
@@ -69,32 +69,17 @@ __all__ = [
 
 
 def charge_stages(kernel: Kernel, stages):
-    """Yield the charges of ``stages`` — one engine event when turbo.
+    """Yield the charges of ``stages``, one :meth:`Kernel.charge` each.
 
     ``stages`` is a sequence of ``(tag, duration)`` pairs; ``duration``
-    may be a zero-argument callable evaluated at charge time (so cost
-    expressions with counter side effects — e.g.
-    :meth:`Kernel.tlb_shootdown_cost` — bump their stats in the same
-    order as the per-charge path).  Under :meth:`Kernel.turbo_ok` the
-    ledger entries and the completion instant are folded into a single
-    ``timeout_at`` with the per-charge float arithmetic (each add
-    stamped with its stage's start); otherwise each stage is a separate
-    :meth:`Kernel.charge` event.
+    may be a zero-argument callable, evaluated when its stage starts
+    (so :meth:`Kernel.tlb_shootdown_cost` reads the running-core set
+    after the previous stage's sleep, and bumps its stats then).
     """
-    if kernel.turbo_ok():
-        t = kernel.env.now
-        add = kernel.ledger.add
-        for tag, duration_us in stages:
-            if callable(duration_us):
-                duration_us = duration_us()
-            add(tag, duration_us, t)
-            t = t + duration_us
-        yield kernel.env.timeout_at(t)
-    else:
-        for tag, duration_us in stages:
-            if callable(duration_us):
-                duration_us = duration_us()
-            yield kernel.charge(tag, duration_us)
+    for tag, duration_us in stages:
+        if callable(duration_us):
+            duration_us = duration_us()
+        yield kernel.charge(tag, duration_us)
 
 
 def replay_transfer(

@@ -35,7 +35,6 @@ from ..sim.engine import Environment
 from ..sim.resources import BandwidthResource
 from ..util.units import PAGE_SIZE
 from .core import Kernel
-from .runops import replay_transfer
 from .vma import Vma
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -166,33 +165,11 @@ def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
                     if data is not None:
                         device.slot_data[int(slot)] = data
             src_nodes = vma.pt.node[idxs].copy()
-            # Common to both branches below: one run-granular swap-out
-            # op per segment, covering every page written.
+            # One run-granular swap-out op per segment, covering every
+            # page written.
             kernel.stats.pages_swapped_out += int(idxs.size)
             kernel.stats.record_run("swap_out", int(idxs.size))
             # Write to disk, then tear down the mappings.
-            if kernel.turbo_ok() and not device.channel._active:
-                # Run-granular swap-out: replay the device transfer and
-                # the shootdown charge inline, sleep once per segment.
-                t_io = replay_transfer(
-                    device.channel,
-                    float(int(idxs.size) * PAGE_SIZE)
-                    + device.op_latency_us * device.channel.capacity,
-                    None,
-                    kernel.env.now,
-                )
-                # Both adds land at the write's end, as on the
-                # per-segment path below.
-                kernel.ledger.add("swap.out", 0.0, t_io)
-                vma.pt.unmap_pages(idxs)
-                table[idxs] = slots
-                kernel.release_frames(frames)
-                device.pages_out += int(idxs.size)
-                written += int(idxs.size)
-                shoot = kernel.tlb_shootdown_cost(process, thread.core, 1)
-                kernel.ledger.add("swap.out", shoot, t_io)
-                yield kernel.env.timeout_at(t_io + shoot)
-                continue
             yield device.io_event(int(idxs.size))
             kernel.ledger.add("swap.out", 0.0)
             if tracepoints.active(kernel):

@@ -116,8 +116,6 @@ def sys_mprotect(
         yield from charge_stages(kernel, stages)
     finally:
         process.mmap_sem.release_write()
-    if kernel.debug_checks:
-        process.addr_space.check_invariants()
 
 
 def sys_madvise(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int, advice: Madvise):
@@ -172,8 +170,6 @@ def sys_madvise(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int, adv
             raise SyscallError(Errno.EINVAL, f"unknown advice {advice}")
     finally:
         process.mmap_sem.release_read()
-    if kernel.debug_checks:
-        process.addr_space.check_invariants()
     return affected
 
 

@@ -210,25 +210,21 @@ class Process(Event):
 
     def _resume(self, trigger: Event) -> None:
         self._target = None
-        self.env._active_process = self
         try:
             if trigger._exception is not None:
                 event = self._generator.throw(trigger._exception)
             else:
                 event = self._generator.send(trigger._value)
         except StopIteration as stop:
-            self.env._active_process = None
             self._value = stop.value
             self._state = _TRIGGERED
             self.env._push(self, 0.0)
             return
         except BaseException as exc:
-            self.env._active_process = None
             self._exception = exc
             self._state = _TRIGGERED
             self.env._push(self, 0.0)
             return
-        self.env._active_process = None
         if not isinstance(event, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {event!r}; processes must yield Events"
@@ -325,7 +321,6 @@ class Environment:
         #: preserved exactly.
         self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Total events processed — useful for performance reporting.
         self.events_processed: int = 0
 
@@ -341,9 +336,9 @@ class Environment:
     def timeout_at(self, when: float, value: Any = None) -> Event:
         """An event that triggers at absolute time ``when``.
 
-        The coalesced-charge fast path computes merged completion times
-        by sequential addition (bit-identical to chained timeouts) and
-        schedules the single merged event here.
+        The run-op replays compute a run's completion time by
+        sequential addition (bit-identical to chained timeouts) and
+        schedule their single completion event here.
         """
         if when < self.now - 1e-9:
             raise SimulationError(f"timeout_at({when}) is in the past (now={self.now})")
@@ -365,11 +360,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event: the first of ``events``."""
         return AnyOf(self, events)
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def idle(self) -> bool:

@@ -76,11 +76,6 @@ class Semaphore:
         """Number of units currently free."""
         return self._available
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes currently waiting."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Request one unit; yield the returned event to wait for it."""
         ev = Event(self.env)
@@ -225,11 +220,6 @@ class RwLock:
     def readers(self) -> int:
         """Number of readers currently inside."""
         return self._readers
-
-    @property
-    def write_held(self) -> bool:
-        """True while a writer holds the lock."""
-        return self._writer
 
     def acquire_read(self) -> Event:
         """Shared acquisition; yield the event to wait."""

@@ -34,16 +34,10 @@ class System:
         machine: Optional[Machine] = None,
         *,
         track_contents: bool = False,
-        debug_checks: bool = False,
     ) -> None:
         self.machine = machine or Machine.opteron_8347he_quad()
         self.env = Environment()
-        self.kernel = Kernel(
-            self.env,
-            self.machine,
-            track_contents=track_contents,
-            debug_checks=debug_checks,
-        )
+        self.kernel = Kernel(self.env, self.machine, track_contents=track_contents)
         self.scheduler = Scheduler(self.machine)
         # Inside an obs.observe() block every system is born traced —
         # that is how `repro-experiments ... --trace/--json` observes

@@ -7,13 +7,16 @@ from repro import System
 
 @pytest.fixture
 def system():
-    """A paper-platform system with content tracking and debug checks."""
-    return System(track_contents=True, debug_checks=True)
+    """A paper-platform system that carries page contents.
+
+    It takes the same fast paths as production runs."""
+    return System(track_contents=True)
 
 
 @pytest.fixture
 def fast_system():
-    """A system without the heavier verification machinery."""
+    """A paper-platform system that elides page contents, as the
+    experiments do; otherwise the same as ``system``."""
     return System()
 
 
@@ -26,7 +29,7 @@ def checked_system():
     operation succeeded (see docs/correctness.md)."""
     from repro.check import assert_invariants
 
-    sys_ = System(track_contents=True, debug_checks=True)
+    sys_ = System(track_contents=True)
     yield sys_
     assert_invariants(sys_.kernel)
 

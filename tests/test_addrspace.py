@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import System
+from repro.check import assert_invariants
 from repro.errors import Errno, SyscallError
 from repro.kernel.mempolicy import MemPolicy
 from repro.kernel.vma import PROT_NONE, PROT_READ, PROT_RW
@@ -22,7 +23,7 @@ def test_mmap_returns_page_aligned_disjoint_vmas(space):
     b = space.mmap(5 * PAGE_SIZE, PROT_RW, name="b")
     assert a.start % PAGE_SIZE == 0
     assert b.start >= a.end + PAGE_SIZE  # guard gap
-    space.check_invariants()
+    assert_invariants(space.kernel)
 
 
 def test_mmap_rounds_up(space):
@@ -62,7 +63,7 @@ def test_protection_split_and_merge(space):
     vmas = [v for v in space.vmas if v.name == "buf"]
     assert len(vmas) == 1
     assert vmas[0].npages == 10
-    space.check_invariants()
+    assert_invariants(space.kernel)
 
 
 def test_protection_unmapped_range_enomem(space):
@@ -118,7 +119,7 @@ def test_munmap_partial(space):
     vmas = [v for v in space.vmas if v.name == "buf"]
     assert [v.npages for v in vmas] == [2, 4]
     assert space.find_vma(vma.start + 2 * PAGE_SIZE) is None
-    space.check_invariants()
+    assert_invariants(space.kernel)
 
 
 def test_apply_policy_splits_and_merges(space):

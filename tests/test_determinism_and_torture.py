@@ -5,6 +5,7 @@ import pytest
 
 from conftest import drive
 from repro import Madvise, MemPolicy, PROT_NONE, PROT_RW, System
+from repro.check import assert_invariants
 from repro.experiments.fig5_nexttouch import measure_kernel_nt
 from repro.experiments.fig7_scalability import measure_parallel_migration
 from repro.util import PAGE_SIZE
@@ -50,7 +51,6 @@ def test_sixteen_threads_mixed_operations(system):
     """Every core hammers its own buffer with a different op mix while
     sharing one address space; all invariants must hold throughout."""
     proc = system.create_process("torture")
-    system.kernel.debug_checks = True
     buffers = {}
 
     def setup(t):
@@ -85,7 +85,7 @@ def test_sixteen_threads_mixed_operations(system):
     threads = [system.spawn(proc, core, worker(core)) for core in range(16)]
     for t in threads:
         system.run_to(t.join())
-    proc.addr_space.check_invariants()
+    assert_invariants(system.kernel)
     hist = proc.addr_space.node_histogram()
     assert hist.sum() == 16 * 16  # every buffer fully populated
 
@@ -106,7 +106,7 @@ def test_frames_conserved_after_heavy_churn(system):
 
 
 def test_contents_survive_arbitrary_op_sequence():
-    system = System(track_contents=True, debug_checks=True)
+    system = System(track_contents=True)
     proc = system.create_process("data")
     payload = np.arange(3 * PAGE_SIZE, dtype=np.uint8) % 251
 

@@ -5,20 +5,22 @@ import pytest
 
 from conftest import drive
 from repro import Machine, Madvise, MemPolicy, PROT_RW, System
+from repro.check import assert_invariants
 from repro.errors import OutOfMemory
 from repro.util import PAGE_SIZE
 
 
 def cramped(node_pages=32):
     """A machine whose nodes are nearly too small to migrate into."""
-    return System(Machine.symmetric(2, 2, mem_per_node=node_pages * PAGE_SIZE),
-                  debug_checks=True)
+    return System(Machine.symmetric(2, 2, mem_per_node=node_pages * PAGE_SIZE))
 
 
 def test_nt_migration_oom_leaves_consistent_state():
     """Next-touch migration that runs the destination node out of
     frames raises — and the not-yet-migrated pages keep their frames
-    and their NT marks (nothing is lost or leaked)."""
+    and their NT marks (nothing is lost or leaked). The failed batch
+    releases its page-table lock, so a retry after frames come back
+    migrates the rest."""
     system = cramped(32)
     proc = system.create_process("oom-nt")
     shared = {}
@@ -31,7 +33,7 @@ def test_nt_migration_oom_leaves_consistent_state():
         filler = yield from t.mmap(24 * PAGE_SIZE, PROT_RW, policy=MemPolicy.bind(1))
         yield from t.touch(filler, 24 * PAGE_SIZE)
         yield from t.madvise(buf, 24 * PAGE_SIZE, Madvise.NEXTTOUCH)
-        shared["buf"] = buf
+        shared.update(buf=buf, filler=filler)
 
     drive(system, owner, core=0, process=proc)
 
@@ -42,7 +44,7 @@ def test_nt_migration_oom_leaves_consistent_state():
     with pytest.raises(OutOfMemory):
         system.run_to(thread.join())
     # Consistency: every page still has exactly one frame somewhere.
-    proc.addr_space.check_invariants()
+    assert_invariants(system.kernel)
     vma = proc.addr_space.find_vma(shared["buf"])
     assert vma.pt.populated().all()
     hist = proc.addr_space.node_histogram()
@@ -54,6 +56,48 @@ def test_nt_migration_oom_leaves_consistent_state():
     # No frame went missing from the allocators.
     used = sum(a.used for a in system.kernel.allocators)
     assert used == 48
+
+    def unmap_filler(t):
+        yield from t.munmap(shared["filler"], 24 * PAGE_SIZE)
+
+    drive(system, unmap_filler, core=0, process=proc)
+    thread = system.spawn(proc, 2, toucher)
+    system.run_to(thread.join())
+    vma = proc.addr_space.find_vma(shared["buf"])
+    assert vma.pt.node_histogram(2)[1] == 24
+    assert not vma.pt.next_touch().any()
+    assert_invariants(system.kernel)
+
+
+def test_demand_zero_batch_oom_releases_the_ptl():
+    """A batched first touch that runs its node out of frames raises
+    and releases the page-table lock: once frames are freed, touching
+    the rest of the buffer completes instead of deadlocking."""
+    system = cramped(16)
+    proc = system.create_process("oom-dz")
+    shared = {}
+
+    def first_touch(t):
+        buf = yield from t.mmap(24 * PAGE_SIZE, PROT_RW, policy=MemPolicy.bind(0))
+        shared["buf"] = buf
+        yield from t.touch(buf, 24 * PAGE_SIZE, batch=8)
+
+    thread = system.spawn(proc, 0, first_touch)
+    with pytest.raises(OutOfMemory):
+        system.run_to(thread.join())
+    buf = shared["buf"]
+    vma = proc.addr_space.find_vma(buf)
+    assert vma.pt.populated().sum() == 16
+
+    def retry(t):
+        yield from t.madvise(buf, 8 * PAGE_SIZE, Madvise.DONTNEED)
+        yield from t.touch(buf + 16 * PAGE_SIZE, 8 * PAGE_SIZE, batch=8)
+
+    drive(system, retry, core=0, process=proc)
+    populated = vma.pt.populated()
+    assert not populated[:8].any() and populated[8:].all()
+    assert system.kernel.allocators[0].used == 16
+    assert_invariants(system.kernel)
 
 
 def test_move_pages_oom_mid_request():
@@ -72,7 +116,7 @@ def test_move_pages_oom_mid_request():
     thread = system.spawn(proc, 0, body)
     with pytest.raises(OutOfMemory):
         system.run_to(thread.join())
-    proc.addr_space.check_invariants()
+    assert_invariants(system.kernel)
     assert sum(a.used for a in system.kernel.allocators) == 52
     assert proc.addr_space.node_histogram().sum() == 52
 
@@ -83,7 +127,6 @@ def test_fork_then_oom_cow_break():
     system = System(
         Machine.symmetric(2, 2, mem_per_node=16 * PAGE_SIZE),
         track_contents=True,
-        debug_checks=True,
     )
     parent = system.create_process("p")
     box = {}
@@ -114,5 +157,4 @@ def test_fork_then_oom_cow_break():
 
     r = system.spawn(parent, 1, parent_reader)
     assert system.run_to(r.join()) == b"SAFE"
-    parent.addr_space.check_invariants()
-    child.addr_space.check_invariants()
+    assert_invariants(system.kernel)

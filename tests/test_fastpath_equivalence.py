@@ -1,8 +1,8 @@
 """Fast-path equivalence: the turbo paths must be bit-identical.
 
 The wall-clock fast paths (see ``docs/performance.md``) carry a hard
-contract: the vectorized page walks, the merged charge events and the
-run-op turbo commits must leave the simulation in EXACTLY the state
+contract: the vectorized page walks and the run-op turbo commits
+must leave the simulation in EXACTLY the state
 the per-page slow path produces — same simulated clock (bit-for-bit
 float equality), same ledger totals and counts, same page tables, same
 NUMA counters, same allocator and lock statistics — and same always-on
@@ -16,14 +16,14 @@ interleavings are all covered — through two fresh
 the differential harness): one with the fast paths enabled (the
 default), one with ``kernel.force_slow_path = True``. The canonical
 states are then diffed field by field. ``events_processed`` is deliberately outside
-the comparison: event *coalescing* is the point of the fast path, so
-only observable state and the clock must agree.
+the comparison: replaying a run in one event is the point of a
+run-op, so only observable state and the clock must agree.
 
 Every workload is replayed a second time with a :class:`Tracer`
 attached to both twins: a tracer is a ledger sink that keeps the fast
 paths on, so its ``(start, duration, tag)`` sample lists must match
 fast vs slow exactly too — each replay hands it the instant the
-per-charge path would have booked the charge at.
+per-page path would have booked the charge at.
 """
 
 from __future__ import annotations

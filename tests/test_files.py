@@ -11,7 +11,7 @@ from repro.util import PAGE_SIZE
 
 
 def file_system():
-    return System(track_contents=True, debug_checks=True)
+    return System(track_contents=True)
 
 
 def test_shared_mapping_reads_through_cache():

@@ -21,7 +21,7 @@ def test_policy_string_spellings():
 
 def _placed_system():
     """8 pages on node 0, 4 of them then moved to node 1; 2 swapped."""
-    system = System(debug_checks=True)
+    system = System()
     attach_swap(system.kernel)
     proc = system.create_process("view")
 
@@ -64,7 +64,7 @@ def test_numa_maps_counts_match_the_page_tables():
 
 
 def test_numa_maps_renders_policies_and_nexttouch_marks():
-    system = System(debug_checks=True)
+    system = System()
     proc = system.create_process("pol")
 
     def body(t):
@@ -122,7 +122,7 @@ def test_vmstat_identical_fast_vs_slow():
     KernelStats contract, pinned here at the procfs surface."""
 
     def run(slow: bool) -> dict:
-        system = System(debug_checks=True)
+        system = System()
         system.kernel.force_slow_path = slow
         attach_swap(system.kernel)
         proc = system.create_process("view")

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Madvise, MemPolicy, PROT_NONE, PROT_READ, PROT_RW, System
+from repro.check import assert_invariants
 from repro.kernel.frames import FrameAllocator
 from repro.kernel.pagetable import PageTable
 from repro.sim import BandwidthResource, Environment, Mutex
@@ -107,7 +108,7 @@ def test_random_mprotect_sequences_keep_space_consistent(data, npages):
         length = data.draw(st.integers(min_value=1, max_value=npages - start))
         prot = data.draw(st.sampled_from([PROT_NONE, PROT_READ, PROT_RW]))
         space.apply_protection(base + start * PAGE_SIZE, length * PAGE_SIZE, prot)
-        space.check_invariants()
+        assert_invariants(system.kernel)
     # Page count over the original range is conserved.
     total = sum(
         stop - first for _v, first, stop in space.range_segments(base, npages * PAGE_SIZE)
@@ -146,7 +147,7 @@ def test_interleave_distribution_is_exact(seed):
 )
 def test_random_move_pages_preserve_contents_and_totals(npages, seed):
     rng = np.random.default_rng(seed)
-    system = System(track_contents=True, debug_checks=True)
+    system = System(track_contents=True)
     proc = system.create_process("mig")
     payload = rng.integers(0, 256, size=64, dtype=np.uint8)
 

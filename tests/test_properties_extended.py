@@ -36,7 +36,7 @@ _OPS = ("touch", "move", "nexttouch", "swap_out", "write")
 def test_mechanism_soup_preserves_payload(ops, npages):
     """Any op sequence ends with the original data readable and every
     frame accounted for."""
-    system = System(track_contents=True, debug_checks=True)
+    system = System(track_contents=True)
     attach_swap(system.kernel)
     proc = system.create_process("soup")
     payload = np.arange(npages * 64, dtype=np.uint8) % 251
@@ -81,7 +81,7 @@ def test_mechanism_soup_preserves_payload(ops, npages):
 def test_fork_chain_write_isolation(writers, npages):
     """A chain of forks with arbitrary writers: every process sees its
     own data; frames are freed exactly once at the end."""
-    system = System(track_contents=True, debug_checks=True)
+    system = System(track_contents=True)
     root = system.create_process("root")
     procs = [root]
     box = {}
@@ -140,7 +140,7 @@ def test_file_cache_single_copy_any_reader_order(readers, npages):
     from repro.kernel.files import SimFile, mmap_file
     from repro.kernel.vma import PROT_READ
 
-    system = System(track_contents=True, debug_checks=True)
+    system = System(track_contents=True)
     f = SimFile(system.kernel, "prop.bin", npages * PAGE_SIZE)
     f.write_initial(0, b"FILEDATA")
     for i, core in enumerate(readers):

@@ -12,7 +12,7 @@ from repro.util import PAGE_SIZE
 
 
 def swap_system(**kwargs):
-    system = System(track_contents=True, debug_checks=True, **kwargs)
+    system = System(track_contents=True, **kwargs)
     attach_swap(system.kernel)
     return system
 

@@ -105,6 +105,18 @@ def test_telemetry_never_trips_turbo():
     assert kernel.turbo_ok()
 
 
+def test_kernel_test_fixtures_take_the_fast_paths(system, checked_system):
+    """The ``system`` and ``checked_system`` fixtures build what the
+    experiments build, plus content tracking: both turbo gates hold,
+    so kernel tests run the fast paths the experiments ship."""
+    from repro.apps.servops import serve_turbo_ok
+
+    for sys_ in (system, checked_system):
+        assert sys_.kernel.track_contents
+        assert sys_.kernel.turbo_ok()
+        assert serve_turbo_ok(sys_.kernel)
+
+
 def test_tracer_attach_detach_keeps_turbo_eligibility():
     """A tracer is a ledger sink: the fast paths hand it every charge's
     simulated instant, so attaching one leaves ``turbo_ok()`` holding."""

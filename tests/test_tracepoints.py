@@ -216,7 +216,7 @@ def test_simulated_time_is_identical_with_and_without_tracing():
     """Recording must never perturb the discrete-event clock."""
 
     def run_once():
-        system = System(debug_checks=True)
+        system = System()
         proc = system.create_process("t")
 
         def body(t):

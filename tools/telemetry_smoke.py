@@ -38,7 +38,8 @@ def fail(msg: str) -> None:
 
 
 def _counters(slow: bool) -> dict:
-    """The canned kernel workload: every run kind with a turbo twin."""
+    """The canned kernel workload: demand-zero, swap-out, swap-in and
+    migration runs (``slow`` forces the per-page reference paths)."""
     from repro import PROT_RW, System
     from repro.kernel.swap import attach_swap
     from repro.util import PAGE_SIZE
