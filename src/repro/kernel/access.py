@@ -26,7 +26,7 @@ from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel
 from .fault import demand_zero_batch, demand_zero_run, handle_fault, nt_fault_batch
 from .pagetable import PTE_COW, PTE_NEXTTOUCH, PTE_PRESENT, PTE_WRITE
-from .runops import cow_break_run, swap_in_run
+from .runops import cow_break_run, nt_fault_run, swap_in_run
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sched.thread import SimThread
@@ -154,6 +154,9 @@ def touch_range(
             and (swap_table is None or int(swap_table[idx]) < 0)
         )
 
+        def _marked(lo: int, hi: int) -> np.ndarray:
+            return (pt.flags[lo:hi] & PTE_NEXTTOUCH) != 0
+
         def _fresh(lo: int, hi: int) -> np.ndarray:
             m = (pt.frame[lo:hi] < 0) & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
             if swap_table is not None:
@@ -161,9 +164,7 @@ def touch_range(
             return m
 
         if batch > 1 and nt0:
-            run = _run_scan(
-                idx, stop, batch, lambda lo, hi: (pt.flags[lo:hi] & PTE_NEXTTOUCH) != 0
-            )
+            run = _run_scan(idx, stop, batch, _marked)
             yield from nt_fault_batch(
                 kernel, thread, vma, np.arange(idx, idx + run, dtype=np.int64)
             )
@@ -177,69 +178,63 @@ def touch_range(
             else:
                 yield from demand_zero_batch(kernel, thread, vma, idx_run)
         else:
-            if unpop0 and getattr(vma, "_file", None) is None:
-                # Per-page (batch=1) first-touch storm: replay the whole
-                # run of demand-zero faults inline when the turbo gate
-                # holds. ``turbo`` covers the faults plus the access
-                # charges of all but the last faulted page (whose access
-                # merges with the following valid run, exactly like the
-                # per-page walk); the loop re-enters at that page.
-                run = _run_scan(idx, stop, span, _fresh)
-                turbo = demand_zero_run(kernel, thread, vma, idx, run, bpp, tag)
-                if turbo is not None:
-                    done, event = turbo
-                    yield event
-                    pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
-                    retries = 0
-                    continue
-            elif (
-                not nt0
-                and int(pt.frame[idx]) < 0
-                and swap_table is not None
-                and int(swap_table[idx]) >= 0
-            ):
-                # Swap-in storm: same run-op shape as the demand-zero
-                # turbo, but each page pays the device round-trip.
+            # Per-page (batch=1) fault storm: while the turbo gate holds,
+            # a run-op replays the whole run of faults from this page
+            # inline. ``turbo`` covers the faults plus the access charges
+            # of all but the last faulted page (whose access merges with
+            # the following valid run, exactly like the per-page walk);
+            # the loop re-enters at that page. The gate is tested once,
+            # before any run scan: on a busy queue a fault must not scan
+            # the rest of its run only for the run-op to decline.
+            turbo = None
+            if kernel.turbo_ok():
+                if nt0:
+                    # Next-touch storm: migrate the run to this node.
+                    run = _run_scan(idx, stop, span, _marked)
+                    turbo = nt_fault_run(kernel, thread, vma, idx, run, bpp, tag)
+                elif unpop0 and getattr(vma, "_file", None) is None:
+                    run = _run_scan(idx, stop, span, _fresh)
+                    turbo = demand_zero_run(kernel, thread, vma, idx, run, bpp, tag)
+                elif (
+                    int(pt.frame[idx]) < 0
+                    and swap_table is not None
+                    and int(swap_table[idx]) >= 0
+                ):
+                    # Swap-in storm: each page pays the device round-trip.
 
-                def _swapped(lo: int, hi: int) -> np.ndarray:
-                    return (
-                        (pt.frame[lo:hi] < 0)
-                        & (swap_table[lo:hi] >= 0)
-                        & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
-                    )
+                    def _swapped(lo: int, hi: int) -> np.ndarray:
+                        return (
+                            (pt.frame[lo:hi] < 0)
+                            & (swap_table[lo:hi] >= 0)
+                            & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
+                        )
 
-                run = _run_scan(idx, stop, span, _swapped)
-                turbo = swap_in_run(kernel, thread, vma, idx, run, bpp, tag)
-                if turbo is not None:
-                    done, event = turbo
-                    yield event
-                    pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
-                    retries = 0
-                    continue
-            elif (
-                write
-                and (first & (PTE_PRESENT | PTE_COW)) == (PTE_PRESENT | PTE_COW)
-                and getattr(vma, "_file", None) is None
-            ):
-                # Write storm over COW pages after a fork: break the
-                # whole run in one replay (reuse or copy per page).
+                    run = _run_scan(idx, stop, span, _swapped)
+                    turbo = swap_in_run(kernel, thread, vma, idx, run, bpp, tag)
+                elif (
+                    write
+                    and (first & (PTE_PRESENT | PTE_COW)) == (PTE_PRESENT | PTE_COW)
+                    and getattr(vma, "_file", None) is None
+                ):
+                    # Write storm over COW pages after a fork: break the
+                    # whole run in one replay (reuse or copy per page).
 
-                def _cow(lo: int, hi: int) -> np.ndarray:
-                    m = (pt.flags[lo:hi] & (PTE_PRESENT | PTE_COW)) == (
-                        PTE_PRESENT | PTE_COW
-                    )
-                    if swap_table is not None:
-                        m &= swap_table[lo:hi] < 0
-                    return m
+                    def _cow(lo: int, hi: int) -> np.ndarray:
+                        m = (pt.flags[lo:hi] & (PTE_PRESENT | PTE_COW)) == (
+                            PTE_PRESENT | PTE_COW
+                        )
+                        if swap_table is not None:
+                            m &= swap_table[lo:hi] < 0
+                        return m
 
-                run = _run_scan(idx, stop, span, _cow)
-                turbo = cow_break_run(kernel, thread, vma, idx, run, bpp, tag)
-                if turbo is not None:
-                    done, event = turbo
-                    yield event
-                    pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
-                    retries = 0
-                    continue
+                    run = _run_scan(idx, stop, span, _cow)
+                    turbo = cow_break_run(kernel, thread, vma, idx, run, bpp, tag)
+            if turbo is not None:
+                done, event = turbo
+                yield event
+                pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
+                retries = 0
+                continue
             retries += 1
             if retries > _MAX_RETRIES:
                 raise SegmentationFault(pos, write, "fault retry limit exceeded")

@@ -170,8 +170,9 @@ class Kernel:
     def turbo_ok(self) -> bool:
         """Whether the run-op replays may engage right now.
 
-        It gates the four replays: ``demand_zero_run``,
-        ``migrate_run``, ``cow_break_run`` and ``swap_in_run``.
+        It gates the five replays: ``demand_zero_run``,
+        ``migrate_run``, ``nt_fault_run``, ``cow_break_run`` and
+        ``swap_in_run``.
         The load-bearing condition is ``env.idle``: with nothing else
         scheduled, no other process can run — or observe intermediate
         state — before a replay schedules its own completion, so

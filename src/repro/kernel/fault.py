@@ -223,6 +223,8 @@ def demand_zero_run(
     """
     if run < 1 or not kernel.turbo_ok():
         return None
+    if kernel.access_profiler is not None:
+        return None  # the per-page walk reports each page's access to it
     process = thread.process
     sem = process.mmap_sem
     if sem._writer or sem._wait_writers:
@@ -264,15 +266,9 @@ def demand_zero_run(
     # --- lock pre-check: the per-pmd PTLs covering the run and the LRU
     # lock of every target node must be free with no parked waiters
     # (pre-existing waiters are possible even with an idle engine).
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    key0 = q0 >> 9
-    ptl_locks = []
-    for key in range(key0, ((q0 + run - 1) >> 9) + 1):
-        page = idx if key == key0 else (key << 9) - (vma.start >> PAGE_SHIFT)
-        lock = process.ptl(vma.start, page)
-        if lock._available <= 0 or lock._waiters:
-            return None
-        ptl_locks.append(lock)
+    ptl_locks = _pmd_locks(process, vma, idx, run)
+    if ptl_locks is None:
+        return None
     for n in used_nodes:
         lru = kernel.lru_locks[int(n)]
         if lru._available <= 0 or lru._waiters:
@@ -346,9 +342,9 @@ def demand_zero_run(
         led.totals[tag] = totals[3]
         led.counts[tag] += n_acc
     t1, t2, t3 = clock[1::4], clock[2::4], clock[3::4]
-    # Split PTLs: one chain per pmd, page j at slot (q0 + j) % 512 of
-    # its pmd's row; the zero slots leave a chain unchanged.
-    first = q0 & 511
+    # Split PTLs: one chain per pmd, page j at slot first + j of the
+    # flattened pmd rows; the zero slots leave a chain unchanged.
+    first = ((vma.start >> PAGE_SHIFT) + idx) & 511
     holds = np.zeros(len(ptl_locks) * 512)
     holds[first : first + run] = t3 - t1
     sums = _fold_chains([lock.stats.hold_time for lock in ptl_locks], holds.reshape(-1, 512))
@@ -393,6 +389,21 @@ def demand_zero_run(
             if j != last and acc > 0:
                 emit(at[b + 3], acc, tag)
     return run - 1, env.timeout_at(_typed(clock[-1], np_page < run))
+
+
+def _pmd_locks(process, vma: Vma, idx: int, run: int):
+    """The split PTLs covering ``run`` pages from ``idx``, or ``None``
+    if any is held or has parked waiters (the run-op must bail)."""
+    q0 = (vma.start >> PAGE_SHIFT) + idx
+    key0 = q0 >> 9
+    locks = []
+    for key in range(key0, ((q0 + run - 1) >> 9) + 1):
+        page = idx if key == key0 else (key << 9) - (vma.start >> PAGE_SHIFT)
+        lock = process.ptl(vma.start, page)
+        if lock._available <= 0 or lock._waiters:
+            return None
+        locks.append(lock)
+    return locks
 
 
 def _fold_chains(seeds, terms: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ This module hosts the run-ops shared by the hot paths:
   (``move_pages`` / ``migrate_pages`` / ``mbind(move=True)``), its
   pagevec chunks replayed in NumPy with no per-chunk engine events or
   Python loop;
+* :func:`nt_fault_run` — a storm of migrate-on-next-touch faults by
+  one thread (the per-page ``batch=1`` touch path of Figures 5 and 7),
+  its clock a scalar loop over the pages;
 * :func:`cow_break_run` — a storm of copy-on-write break faults after
   ``fork`` (the per-page ``batch=1`` touch path);
 * :func:`swap_in_run` — a storm of swap-in faults, with slot frees and
@@ -51,7 +54,7 @@ import numpy as np
 
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel
-from .fault import _access_cost_us_single, _fold_chains, _typed
+from .fault import _access_cost_us_single, _fold_chains, _pmd_locks, _typed
 from .pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
 from .vma import Vma
 
@@ -63,6 +66,7 @@ __all__ = [
     "charge_stages",
     "replay_transfer",
     "migrate_run",
+    "nt_fault_run",
     "cow_break_run",
     "swap_in_run",
 ]
@@ -128,19 +132,24 @@ def replay_transfer(
         # Not finished: loop top is the wake's _reschedule.
 
 
-def _pmd_locks(process, vma: Vma, idx: int, run: int):
-    """The split PTLs covering ``run`` pages from ``idx``, or ``None``
-    if any is held or has parked waiters (the run-op must bail)."""
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    key0 = q0 >> 9
-    locks = []
-    for key in range(key0, ((q0 + run - 1) >> 9) + 1):
-        page = idx if key == key0 else (key << 9) - (vma.start >> PAGE_SHIFT)
-        lock = process.ptl(vma.start, page)
-        if lock._available <= 0 or lock._waiters:
-            return None
-        locks.append(lock)
-    return locks
+def _book_ptl_holds(ptl_locks, vma: Vma, idx: int, holds: list) -> None:
+    """Book a scalar replay's per-page PTL ``holds`` (page order, the
+    run starting at page ``idx``) on the locks :func:`_pmd_locks`
+    returned: one acquisition per page, and each page's hold folded
+    into its lock's running ``hold_time`` in page order. The slow path
+    adds each hold to ``hold_time`` as the lock is released, and float
+    addition is order-sensitive, so a lock's holds are never summed
+    apart and added once."""
+    first = ((vma.start >> PAGE_SHIFT) + idx) & 511  # page j is in pmd (first + j) >> 9
+    for g, lock in enumerate(ptl_locks):
+        lo = max(0, (g << 9) - first)
+        hi = min(len(holds), ((g + 1) << 9) - first)
+        stats = lock.stats
+        hold = stats.hold_time
+        for page_hold in holds[lo:hi]:
+            hold = hold + page_hold
+        stats.hold_time = hold
+        stats.acquisitions += hi - lo
 
 
 # --------------------------------------------------------------- migrate ---
@@ -362,6 +371,152 @@ def _emit_migrate(led, control_tag, copy_tag, control, before, after, counts, cl
                 emit(at[p], charge_us[p], control_tag)
 
 
+# ------------------------------------------------------------- next touch ---
+def nt_fault_run(
+    kernel: Kernel,
+    thread: "SimThread",
+    vma: Vma,
+    idx: int,
+    run: int,
+    bytes_per_page: float,
+    tag: str,
+):
+    """Replay ``run`` back-to-back migrate-on-next-touch faults inline.
+
+    The ``batch=1`` next-touch storm of Figures 5 and 7: each page pays
+    fault entry, takes mmap_sem and its split PTL, pays
+    :func:`~repro.kernel.fault.nt_fault_batch`'s control and alloc
+    charges, copies to the toucher's node through the process migration
+    channel with the PTL held, pays the free and — for every page but
+    the last — the interleaved access charge. The commit is bulk (one
+    ``alloc_seq``, one remap, one ``release_frames``); the clock is a
+    scalar loop over the pages that replays each copy with
+    :func:`replay_transfer`. Returns ``(run - 1, event)`` like
+    :func:`cow_break_run`, or ``None``.
+
+    Declines, before committing anything, on an attached access
+    profiler (the per-page walk reports each page's access to it), a
+    copy that partly runs without the PTL, a writer on mmap_sem, a page
+    already on the toucher's node or on a shared frame, a toucher node
+    that cannot seat the whole run, a held or waited-on PTL, or a busy
+    migration channel.
+    """
+    if run < 1 or not kernel.turbo_ok():
+        return None
+    if kernel.access_profiler is not None:
+        return None
+    cost = kernel.cost
+    if cost.nt_copy_locked_fraction != 1.0:
+        return None
+    process = thread.process
+    sem = process.mmap_sem
+    if sem._writer or sem._wait_writers:
+        return None
+    pt = vma.pt
+    span = slice(idx, idx + run)
+    dest = kernel.machine.node_of_core(thread.core)
+    if bool(np.any(pt.node[span] == dest)):
+        return None  # nt_fault_batch's stay branch
+    old_frames = pt.frame[span].copy()
+    if kernel.frames_shared_mask(old_frames).any():
+        return None
+    allocator = kernel.allocators[dest]
+    if allocator.free < run:
+        return None  # the per-page path raises OutOfMemory mid-run
+    ptl_locks = _pmd_locks(process, vma, idx, run)
+    if ptl_locks is None:
+        return None
+    channel = kernel.migration_channel(process)  # a new one is idle
+    if channel._active:
+        return None
+    # --- bulk commit: alloc_seq hands out the ids of the per-page
+    # alloc_many(1) pops (old frames all go back to other nodes), and
+    # release_frames appends to each source's free list in page order.
+    new_frames = allocator.alloc_seq(run)
+    kernel.move_contents(old_frames, new_frames)
+    pt.frame[span] = new_frames
+    pt.node[span] = dest
+    pt.clear_next_touch(span, vma.allows(True))
+    kernel.release_frames(old_frames)
+    kstats = kernel.stats
+    kstats.nt_faults += run
+    kstats.record_run("nt_fault", run, ops=run)
+    kstats.pages_migrated += run
+    kstats.record_migration("nexttouch", run)
+    sem.stats.acquisitions += run
+    # --- per-page float replay ------------------------------------------
+    env = kernel.env
+    led = kernel.ledger
+    totals = led.totals
+    # Ledger sinks get each page's charges at their per-page instants:
+    # entry, control and alloc at their starts, the copy and the free
+    # at the copy's end, then the access at the free's end.
+    sinks = led.sinks
+    emit = led.emit
+    entry_us = cost.fault_entry_us
+    # nt_fault_batch's charges for k = 1 with the entry already paid.
+    control_us = 1 * cost.nt_fault_control_us + 0 * cost.fault_entry_us
+    alloc_us = cost.nt_pcp_alloc_us
+    free_us = cost.nt_pcp_free_us
+    nbytes = 1.0 * PAGE_SIZE * cost.nt_copy_locked_fraction
+    copy_bw = cost.kernel_page_copy_bw
+    last = run - 1
+    acc = 0.0
+    if last and bytes_per_page > 0:
+        acc = _access_cost_us_single(kernel, dest, dest, bytes_per_page)
+    t = env.now
+    tot_entry = totals.get("fault.entry", 0.0)
+    tot_control = totals.get("nt.control", 0.0)
+    tot_alloc = totals.get("nt.alloc", 0.0)
+    tot_copy = totals.get("nt.copy", 0.0)
+    tot_free = totals.get("nt.free", 0.0)
+    tot_acc = totals.get(tag, 0.0)
+    holds = []  # per-page PTL hold, from the entry's end to the copy's
+    for j in range(run):
+        t_page = t
+        t = t + entry_us
+        tot_entry = tot_entry + entry_us
+        since = t
+        t = t + control_us
+        tot_control = tot_control + control_us
+        t_alloc = t
+        t = t + alloc_us
+        tot_alloc = tot_alloc + alloc_us
+        t_copy = t
+        t = replay_transfer(channel, nbytes, copy_bw, t)
+        copy_us = t - t_copy
+        tot_copy = tot_copy + copy_us
+        holds.append(t - since)
+        t_free = t
+        t = t + free_us
+        tot_free = tot_free + free_us
+        if sinks:
+            emit(t_page, entry_us, "fault.entry")
+            emit(since, control_us, "nt.control")
+            emit(t_alloc, alloc_us, "nt.alloc")
+            emit(t_free, copy_us, "nt.copy")
+            emit(t_free, free_us, "nt.free")
+        if j != last and acc > 0:
+            if sinks:
+                emit(t, acc, tag)
+            t = t + acc
+            tot_acc = tot_acc + acc
+    _book_ptl_holds(ptl_locks, vma, idx, holds)
+    for name, total in (
+        ("fault.entry", tot_entry),
+        ("nt.control", tot_control),
+        ("nt.alloc", tot_alloc),
+        ("nt.copy", tot_copy),
+        ("nt.free", tot_free),
+    ):
+        totals[name] = total
+        led.counts[name] += run
+    if last and acc > 0:
+        totals[tag] = tot_acc
+        led.counts[tag] += last
+    return last, env.timeout_at(t)
+
+
 # -------------------------------------------------------------- cow break ---
 def cow_break_run(
     kernel: Kernel,
@@ -429,31 +584,14 @@ def cow_break_run(
     acc_count = 0
     acc_cache: dict[int, float] = {}
     last = run - 1
-    pmd_group = 0
-    pmd_acq = 0
-    # Seed the hold accumulator from the lock's running total: the slow
-    # path folds each page's hold into stats.hold_time sequentially, and
-    # float addition is order-sensitive, so the replay must add into the
-    # same running value rather than sum locally and add once.
-    pmd_hold = ptl_locks[0].stats.hold_time
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    boundary = (((q0 >> 9) + 1) << 9) - q0
+    holds = []  # per-page PTL hold, from the entry's end to the fault's
     for j in range(run):
-        if j == boundary:
-            stats = ptl_locks[pmd_group].stats
-            stats.acquisitions += pmd_acq
-            stats.hold_time = pmd_hold
-            pmd_group += 1
-            pmd_acq = 0
-            pmd_hold = ptl_locks[pmd_group].stats.hold_time
-            boundary += 512
         i = idx + j
         flags = int(pt.flags[i])
         t_page = t
         t = t + entry_us
         tot_entry = tot_entry + entry_us
         since = t  # PTL taken after the entry charge
-        pmd_acq += 1
         if not shared[j]:
             # Sole owner: re-arm the write bit, charge cow.reuse.
             pt.flags[i] = np.uint16((flags & ~PTE_COW) | PTE_PRESENT | PTE_WRITE)
@@ -479,7 +617,7 @@ def cow_break_run(
             else:
                 t = replay_transfer(channel, float(PAGE_SIZE), copy_bw, t)
             node_after = dest
-        pmd_hold = pmd_hold + (t - since)
+        holds.append(t - since)
         t_done = t
         if j != last and bytes_per_page > 0:
             acc = acc_cache.get(node_after)
@@ -500,9 +638,7 @@ def cow_break_run(
                 emit(since, ctrl_us, "cow.reuse")
             if j != last and bytes_per_page > 0 and acc > 0:
                 emit(t_done, acc, tag)
-    stats = ptl_locks[pmd_group].stats
-    stats.acquisitions += pmd_acq
-    stats.hold_time = pmd_hold
+    _book_ptl_holds(ptl_locks, vma, idx, holds)
     sem.stats.acquisitions += run
     kernel.stats.cow_faults += run
     kernel.stats.cow_reused += run - n_shared
@@ -600,34 +736,18 @@ def swap_in_run(
         run > 1 and bytes_per_page > 0
     ) else 0.0
     last = run - 1
-    pmd_group = 0
-    pmd_acq = 0
-    # Seeded from the lock's running total: the slow path folds each
-    # page's hold into stats.hold_time sequentially, and float addition
-    # is order-sensitive (see cow_break_run).
-    pmd_hold = ptl_locks[0].stats.hold_time
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    boundary = (((q0 >> 9) + 1) << 9) - q0
+    holds = []  # per-page PTL hold, from the entry's end to the read's
     for j in range(run):
-        if j == boundary:
-            stats = ptl_locks[pmd_group].stats
-            stats.acquisitions += pmd_acq
-            stats.hold_time = pmd_hold
-            pmd_group += 1
-            pmd_acq = 0
-            pmd_hold = ptl_locks[pmd_group].stats.hold_time
-            boundary += 512
         t_page = t
         t = t + entry_us  # fault.entry, before mmap_sem/PTL
         tot_entry = tot_entry + entry_us
         since = t
-        pmd_acq += 1
         tot_fault = tot_fault + entry_us  # swap.in.fault (k == 1)
         t = t + entry_us
         t0 = t
         t = replay_transfer(channel, io_bytes, None, t)
         tot_io = tot_io + (t - t0)
-        pmd_hold = pmd_hold + (t - since)
+        holds.append(t - since)
         t_done = t
         if j != last and acc > 0:
             acc_total = acc_total + acc
@@ -639,9 +759,7 @@ def swap_in_run(
             emit(t_done, t_done - t0, "swap.in")
             if j != last and acc > 0:
                 emit(t_done, acc, tag)
-    stats = ptl_locks[pmd_group].stats
-    stats.acquisitions += pmd_acq
-    stats.hold_time = pmd_hold
+    _book_ptl_holds(ptl_locks, vma, idx, holds)
     led.totals["fault.entry"] = tot_entry
     led.counts["fault.entry"] += run
     led.totals["swap.in.fault"] = tot_fault

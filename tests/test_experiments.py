@@ -73,6 +73,7 @@ def test_fig4_fig5_fig7_match_committed_values():
     assert at["Kernel Next-touch"][1024] == 779.7062925062983
     assert at["Sync - 1 Thread"][1024] == 580.8075436917297
     assert at["Sync - 4 Threads"][1024] == 893.1357765703691
+    assert at["Lazy - 1 Thread"][1024] == 792.0179441566935
     assert at["Lazy - 4 Threads"][1024] == 1111.8787449551978
     # The headline paper shapes hold even at these sizes.
     assert at["memcpy"][1024] > at["move_pages"][1024]

@@ -142,6 +142,17 @@ def canonical(ex: OpExecutor) -> dict:
             },
         }
     state["procs"] = procs
+    profiler = k.access_profiler
+    if profiler is not None:
+        # What the policy drivers read: every page's per-node counts.
+        state["heat"] = {
+            "touches": profiler.touches_recorded,
+            "window": profiler.window_node_totals(),
+            "cells": {
+                key: cell.tolist()
+                for key, cell in profiler.snapshot(clear=False).items()
+            },
+        }
     return state
 
 
@@ -410,6 +421,147 @@ def test_swap_in_run_matches_slow_path(bytes_per_page):
     _assert_script_equivalent(script, bytes_per_page=bytes_per_page)
 
 
+#: The ``late`` next-touch storm's start: from 2**27 us on, every 4 KiB
+#: copy's first channel wake leaves a residual for a second wake.
+NT_LATE_US = 2**27 + 3.3
+
+
+def _nt_storm(shape: str, storm_events: dict, setup_hook=None):
+    """A script whose node-1 thread next-touches a 1500-page buffer at
+    batch=1 (see :func:`test_nt_fault_run_matches_slow_path` for the
+    shapes). ``storm_events[slow]`` gets the engine events the storm
+    took on each side; ``setup_hook(t, addr, nbytes)`` runs on the
+    owner thread before the buffer is marked."""
+
+    def script(ex):
+        proc = ex.procs["p0"]
+        npages = 1500
+        nbytes = npages * PAGE_SIZE
+        shared = {}
+
+        def setup(t):
+            # A 37-page pad: the buffer starts off a pmd boundary.
+            yield from t.mmap(37 * PAGE_SIZE, PROT_RW)
+            if shape == "reuse":
+                first = yield from t.mmap(600 * PAGE_SIZE, PROT_RW, policy=MemPolicy.bind(1))
+                yield from t.touch(first, 600 * PAGE_SIZE)
+                yield from t.munmap(first, 600 * PAGE_SIZE)
+            if shape == "multi_src":
+                policy = MemPolicy.interleave(0, 2, 3)
+            else:
+                policy = MemPolicy.bind(0)
+            addr = yield from t.mmap(nbytes, PROT_RW, policy=policy)
+            yield from t.touch(addr, nbytes, bytes_per_page=ex.bytes_per_page)
+            if setup_hook is not None:
+                yield from setup_hook(t, addr, nbytes)
+            yield from t.madvise(addr, nbytes, Madvise.NEXTTOUCH)
+            shared["addr"] = addr
+
+        _spawn(ex, proc, 0, setup)
+        toucher_core = ex.system.machine.cores_of_node(1)[0]
+        if shape == "two_storms":
+            storms = ((0, 37), (37, npages))
+        else:
+            storms = ((0, npages),)
+
+        def toucher(t):
+            if shape == "late":
+                yield t.compute(NT_LATE_US - ex.kernel.env.now)
+            before = ex.kernel.env.events_processed
+            for lo, hi in storms:
+                yield from t.touch(
+                    shared["addr"] + lo * PAGE_SIZE,
+                    (hi - lo) * PAGE_SIZE,
+                    batch=1,
+                    bytes_per_page=ex.bytes_per_page,
+                )
+            storm_events[ex.kernel.force_slow_path] = ex.kernel.env.events_processed - before
+            if shape == "late":
+                # Every copy took the residual second wake: three wake
+                # generations per copy, against two for a copy that
+                # finishes on its first wake.
+                channel = ex.kernel.migration_channel(proc)
+                assert channel._wake_generation == 3 * npages
+
+        _spawn(ex, proc, toucher_core, toucher)
+
+    return script
+
+
+@pytest.mark.parametrize("bytes_per_page", [0.0, 64.0, float(PAGE_SIZE)])
+@pytest.mark.parametrize("shape", ["plain", "reuse", "late", "two_storms", "multi_src"])
+def test_nt_fault_run_matches_slow_path(shape, bytes_per_page):
+    """A batch=1 next-touch storm through nt_fault_run, in five shapes:
+
+    * ``plain``: a bind(0) buffer starting off a pmd boundary, touched
+      from a node-1 core, so the run's first PTL covers only part of it;
+    * ``reuse``: node 1's free list holds 600 frames, so the storm
+      takes them in per-page pop order, then the bump range;
+    * ``late``: the storm starts at t = 2**27 + 3.3 us, where every
+      copy takes the channel's residual second wake;
+    * ``two_storms``: the touch runs as two storms, pages 0-36 then
+      37-1499, so the second storm's first PTL already holds time;
+    * ``multi_src``: the buffer is interleaved over nodes 0, 2 and 3.
+
+    Each must replay in a handful of engine events: a gate that always
+    declines fails here, not just in the wall-clock benchmark.
+    """
+    storm_events: dict[bool, int] = {}
+    _assert_script_equivalent(_nt_storm(shape, storm_events), bytes_per_page=bytes_per_page)
+    assert storm_events[False] * 100 < storm_events[True], storm_events
+
+
+@pytest.mark.parametrize("case", ["stay", "shared", "fraction", "profiler"])
+def test_nt_fault_run_declines_match_slow_path(case, monkeypatch):
+    """Next-touch storms nt_fault_run must refuse, fast vs slow:
+
+    * ``stay``: the first 100 pages already sit on the toucher's node
+      (nt_fault_batch's stay branch), so the run-op declines until the
+      walk has passed them, then replays the rest;
+    * ``shared``: the buffer's frames are shared with a forked child;
+    * ``fraction``: ``nt_copy_locked_fraction=0.25`` splits each copy
+      around the PTL release;
+    * ``profiler``: a heat profiler is attached (the per-page walk
+      reports each page's access to it; ``canonical`` diffs its
+      counts), which also makes the buffer's first touch decline
+      demand_zero_run.
+    """
+    import dataclasses
+
+    import repro.kernel.access as access
+    from repro.kernel.heat import HeatTracker
+
+    outcomes: list[bool] = []
+    original = access.nt_fault_run
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        outcomes.append(result is not None)
+        return result
+
+    monkeypatch.setattr(access, "nt_fault_run", counted)
+
+    def setup_hook(t, addr, nbytes):
+        if case == "stay":
+            yield from t.move_range(addr, 100 * PAGE_SIZE, 1)
+        elif case == "shared":
+            yield from t.fork()
+
+    inner = _nt_storm("plain", {}, setup_hook)
+
+    def script(ex):
+        kernel = ex.kernel
+        if case == "fraction":
+            kernel.cost = dataclasses.replace(kernel.cost, nt_copy_locked_fraction=0.25)
+        elif case == "profiler":
+            kernel.access_profiler = HeatTracker(kernel.machine.num_nodes)
+        inner(ex)
+
+    _assert_script_equivalent(script, bytes_per_page=64.0)
+    assert False in outcomes, "the run-op never declined"
+    assert (True in outcomes) == (case == "stay"), outcomes
+
+
 def test_run_straddling_vma_boundary():
     """Adjacent VMAs (one mapping split three ways by mprotect):
     touches, next-touch marks and a move_pages call spanning the
@@ -479,7 +631,7 @@ def test_zero_length_runs():
     """Zero-byte syscalls behave identically on both paths (touch
     rejects them, the others no-op), and the run-ops refuse a
     zero-length run outright."""
-    from repro.kernel.runops import cow_break_run, swap_in_run
+    from repro.kernel.runops import cow_break_run, nt_fault_run, swap_in_run
 
     def script(ex):
         proc = ex.procs["p0"]
@@ -515,16 +667,19 @@ def test_zero_length_runs():
             thread = captured["thread"]
             assert cow_break_run(ex.kernel, thread, vma, 0, 0, 0.0, "t") is None
             assert swap_in_run(ex.kernel, thread, vma, 0, 0, 0.0, "t") is None
+            assert nt_fault_run(ex.kernel, thread, vma, 0, 0, 0.0, "t") is None
 
     _assert_script_equivalent(script)
 
 
 def test_runop_bails_with_lock_waiters():
-    """A held split PTL or LRU lock makes every run-op decline (the
-    slow path, which can queue on the lock, takes over)."""
+    """A held split PTL or LRU lock, or a PTL with a parked waiter,
+    makes every run-op decline (the slow path, which can queue on the
+    lock, takes over)."""
     import numpy as np
 
-    from repro.kernel.runops import _pmd_locks, cow_break_run, migrate_run
+    from repro.kernel.fault import _pmd_locks
+    from repro.kernel.runops import cow_break_run, migrate_run, nt_fault_run
 
     ex = _executor(slow=False)
     proc = ex.procs["p0"]
@@ -533,9 +688,15 @@ def test_runop_bails_with_lock_waiters():
     def body(t):
         addr = yield from t.mmap(64 * PAGE_SIZE, PROT_RW)
         yield from t.touch(addr, 64 * PAGE_SIZE)
+        yield from t.madvise(addr, 64 * PAGE_SIZE, Madvise.NEXTTOUCH)
         captured["thread"], captured["addr"] = t, addr
 
+    def remote(t):
+        captured["remote"] = t  # a node-1 toucher for the node-0 pages
+        yield t.compute(0.0)
+
     _spawn(ex, proc, 0, body)
+    _spawn(ex, proc, ex.system.machine.cores_of_node(1)[0], remote)
     vma = next(v for v in proc.addr_space.vmas if v.start == captured["addr"])
     thread = captured["thread"]
 
@@ -544,7 +705,12 @@ def test_runop_bails_with_lock_waiters():
     ptl._available = 0  # simulate a holder without engine turns
     assert _pmd_locks(proc, vma, 0, 8) is None
     assert cow_break_run(ex.kernel, thread, vma, 0, 8, 0.0, "t") is None
+    assert nt_fault_run(ex.kernel, captured["remote"], vma, 0, 8, 0.0, "t") is None
     ptl._available = 1
+    ptl._waiters.append((None, 0.0))  # a parked waiter on a free lock
+    assert _pmd_locks(proc, vma, 0, 8) is None
+    assert nt_fault_run(ex.kernel, captured["remote"], vma, 0, 8, 0.0, "t") is None
+    ptl._waiters.clear()
 
     idxs = np.arange(8, dtype=np.int64)
     lru = ex.kernel.lru_locks[1]
@@ -554,6 +720,8 @@ def test_runop_bails_with_lock_waiters():
         is None
     )
     lru._available = 1
+    # With the lock free again, the same call replays the run.
+    assert nt_fault_run(ex.kernel, captured["remote"], vma, 0, 8, 0.0, "t") is not None
 
 
 @pytest.mark.parametrize("scenario", ["migrate", "cow", "swap"])
@@ -595,22 +763,31 @@ def test_runops_coalesce_events(scenario):
 
 def test_force_slow_path_disables_turbo():
     """The escape hatch really does force the per-page walk: the slow
-    side processes strictly more engine events for the same work."""
+    side processes strictly more engine events for the same work, for
+    a first-touch storm and for a next-touch storm alike."""
 
-    def events(slow: bool) -> int:
+    def events(slow: bool) -> list[int]:
         ex = _executor(slow=slow)
         proc = ex.procs["p0"]
+        counts = []
 
         def body(t):
-            addr = yield from t.mmap(512 * PAGE_SIZE, PROT_RW)
-            yield from t.touch(addr, 512 * PAGE_SIZE, write=True, batch=1)
+            nbytes = 512 * PAGE_SIZE
+            # Bound to node 1: the core-0 next-touch pulls every page.
+            addr = yield from t.mmap(nbytes, PROT_RW, policy=MemPolicy.bind(1))
+            for advice in (None, Madvise.NEXTTOUCH):
+                if advice is not None:
+                    yield from t.madvise(addr, nbytes, advice)
+                before = ex.kernel.env.events_processed
+                yield from t.touch(addr, nbytes, write=True, batch=1)
+                counts.append(ex.kernel.env.events_processed - before)
 
         thread = ex.system.spawn(proc, 0, body, name="ev")
         ex.system.run_to(thread.join())
-        return ex.kernel.env.events_processed
+        return counts
 
     fast, slow = events(False), events(True)
-    assert fast < slow
+    assert all(f < s for f, s in zip(fast, slow)), (fast, slow)
 
 
 def test_runops_engage_with_tracer_attached(monkeypatch):
@@ -634,6 +811,7 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
 
     for module, name in (
         (access, "demand_zero_run"),
+        (access, "nt_fault_run"),
         (access, "cow_break_run"),
         (access, "swap_in_run"),
         (migrate, "migrate_run"),
@@ -652,6 +830,9 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
         addr = yield from t.mmap(total, PROT_RW)
         yield from t.touch(addr, total, write=True, batch=1)
         yield from t.move_range(addr, total, 1)
+        # Next-touch from this node-0 core pulls the run back.
+        yield from t.madvise(addr, total, Madvise.NEXTTOUCH)
+        yield from t.touch(addr, total, write=True, batch=1)
         shared["addr"] = addr
         shared["child"] = yield from t.fork()
 
@@ -665,7 +846,13 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
 
     _spawn(ex, proc, toucher_core, cow_then_swap)
     assert ex.kernel.turbo_ok()
-    assert set(outcomes) == {"demand_zero_run", "cow_break_run", "swap_in_run", "migrate_run"}
+    assert set(outcomes) == {
+        "demand_zero_run",
+        "nt_fault_run",
+        "cow_break_run",
+        "swap_in_run",
+        "migrate_run",
+    }
     assert all(all(engaged) for engaged in outcomes.values()), outcomes
     tags = {s.tag for s in tracer.samples}
-    assert {"fault.anon", "move_pages.copy", "cow.copy", "swap.in"} <= tags
+    assert {"fault.anon", "move_pages.copy", "nt.copy", "cow.copy", "swap.in"} <= tags

@@ -38,9 +38,10 @@ def fail(msg: str) -> None:
 
 
 def _counters(slow: bool) -> dict:
-    """The canned kernel workload: demand-zero, swap-out, swap-in and
-    migration runs (``slow`` forces the per-page reference paths)."""
-    from repro import PROT_RW, System
+    """The canned kernel workload: demand-zero, swap-out, swap-in,
+    migration and next-touch runs (``slow`` forces the per-page
+    reference paths)."""
+    from repro import PROT_RW, Madvise, System
     from repro.kernel.swap import attach_swap
     from repro.util import PAGE_SIZE
 
@@ -59,6 +60,9 @@ def _counters(slow: bool) -> dict:
         yield from t.swap_out(addr, (npages // 2) * PAGE_SIZE)
         yield from t.touch(addr, (npages // 2) * PAGE_SIZE, batch=1)
         yield from t.move_range(addr, npages * PAGE_SIZE, 1)
+        # Next-touch from this node-0 core pulls every page back.
+        yield from t.madvise(addr, npages * PAGE_SIZE, Madvise.NEXTTOUCH)
+        yield from t.touch(addr, npages * PAGE_SIZE, batch=1)
 
     thread = system.spawn(proc, 0, body, name="smoke")
     system.run_to(thread.join())
@@ -75,7 +79,8 @@ def main() -> int:
         fail(f"fast/slow counter divergence in {sorted(diff)[:8]}")
     for name, expected in (
         ("minor_faults", 256),
-        ("pages_migrated", 256),
+        ("nt_faults", 256),
+        ("pages_migrated", 512),
         ("pages_swapped_out", 128),
         ("pages_swapped_in", 128),
     ):
