@@ -20,6 +20,23 @@ from ..util.units import PAGE_SHIFT, PAGE_SIZE
 __all__ = ["BlockedMatrix"]
 
 
+def _sorted_unique(pages: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 page array, by sort and neighbour compare.
+
+    Returns the same ascending, deduplicated int64 array. A plain
+    ``np.unique`` fills a hash table and then sorts its keys, which costs
+    several times more on the 100- to 2,000-page sets a block op builds
+    (``docs/performance.md`` §11). The input is a concatenation
+    of ascending runs (one per block, or per block row), which the
+    stable sort merges rather than re-partitions.
+    """
+    pages = np.sort(pages, kind="stable")
+    keep = np.empty(pages.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+    return pages[keep]
+
+
 class BlockedMatrix:
     """Page-level view of an N x N row-major matrix split into b x b
     blocks, mapped at ``addr`` (which must be the start of its VMA)."""
@@ -80,15 +97,21 @@ class BlockedMatrix:
         width = int((last - first).max()) + 1
         spread = first[:, None] + np.arange(width, dtype=np.int64)[None, :]
         mask = spread <= last[:, None]
-        pages = np.unique(spread[mask])
+        pages = _sorted_unique(spread[mask])
         self._cache[key] = pages
         return pages
 
     def blocks_pages(self, blocks: list[tuple[int, int]]) -> np.ndarray:
-        """Union of page indices over several blocks."""
+        """Sorted union of page indices over several blocks.
+
+        Built afresh on every call (once per LU block op). The order is
+        load-bearing: ``touch_pages`` faults pending pages in the order
+        given, one ``nt_fault_batch`` per 512, so any other order would
+        change the fault batches.
+        """
         if not blocks:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([self.block_pages(i, j) for i, j in blocks]))
+        return _sorted_unique(np.concatenate([self.block_pages(i, j) for i, j in blocks]))
 
     def trailing_submatrix_range(self, k: int) -> tuple[int, int]:
         """(address, nbytes) of rows ``k*b .. n`` — the region the LU's

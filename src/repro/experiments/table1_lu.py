@@ -5,8 +5,9 @@ Rows are (matrix size, block size) pairs; columns are the static
 at every iteration), and the signed improvement percentage exactly as
 the paper reports it.
 
-The default row set covers matrices up to 8k x 8k (a few minutes of
-host time); ``full=True`` adds the paper's 16k and 32k rows.
+The default row set covers matrices up to 8k x 8k (about 45 s of host
+time on a 2-core machine); ``full=True`` adds the paper's 16k and 32k
+rows.
 float64 elements make 512 the page-independence threshold, as in the
 paper.
 """

@@ -263,6 +263,11 @@ def touch_pages(
     allocation both batch safely; see the fault module's atomic-commit
     discussion). The VMA must allow the access — this path carries no
     SIGSEGV machinery.
+
+    A set whose pages all already carry the needed PTE bits (PRESENT,
+    plus WRITE for a store) skips the fault classification and goes
+    straight to the access charge. That is every static-policy LU block
+    op, and every next-touch one once its pages have moved.
     """
     if not vma.allows(write):
         raise SegmentationFault(vma.start, write, "touch_pages on protected VMA")
@@ -271,33 +276,37 @@ def touch_pages(
         return
     need_bits = PTE_PRESENT | (PTE_WRITE if write else 0)
     flags = vma.pt.flags[idxs]
-    nt_sel = (flags & PTE_NEXTTOUCH) != 0
-    unpop_sel = (vma.pt.frame[idxs] < 0) & ~nt_sel
-    swap_table = getattr(vma.pt, "_swap_slots", None)
-    if swap_table is not None:
-        swapped_sel = unpop_sel & (swap_table[idxs] >= 0)
-        unpop_sel &= ~swapped_sel
-        if swapped_sel.any():
-            from .swap import swap_in_batch
+    # Fault-free touch (every page already valid for this access): the
+    # section below would find nothing, because PRESENT implies a frame
+    # and NEXTTOUCH implies not PRESENT, so it is skipped outright.
+    if not ((flags & need_bits) == need_bits).all():
+        nt_sel = (flags & PTE_NEXTTOUCH) != 0
+        unpop_sel = (vma.pt.frame[idxs] < 0) & ~nt_sel
+        swap_table = getattr(vma.pt, "_swap_slots", None)
+        if swap_table is not None:
+            swapped_sel = unpop_sel & (swap_table[idxs] >= 0)
+            unpop_sel &= ~swapped_sel
+            if swapped_sel.any():
+                from .swap import swap_in_batch
 
-            pending = idxs[swapped_sel]
+                pending = idxs[swapped_sel]
+                for lo in range(0, pending.size, batch):
+                    yield from swap_in_batch(kernel, thread, vma, pending[lo : lo + batch])
+        unpop_fault = demand_zero_batch
+        if getattr(vma, "_file", None) is not None:
+            from .files import file_fault_batch
+
+            unpop_fault = file_fault_batch
+        for sel, fault in ((nt_sel, nt_fault_batch), (unpop_sel, unpop_fault)):
+            pending = idxs[sel]
             for lo in range(0, pending.size, batch):
-                yield from swap_in_batch(kernel, thread, vma, pending[lo : lo + batch])
-    unpop_fault = demand_zero_batch
-    if getattr(vma, "_file", None) is not None:
-        from .files import file_fault_batch
-
-        unpop_fault = file_fault_batch
-    for sel, fault in ((nt_sel, nt_fault_batch), (unpop_sel, unpop_fault)):
-        pending = idxs[sel]
-        for lo in range(0, pending.size, batch):
-            yield from fault(kernel, thread, vma, pending[lo : lo + batch])
-    # Whatever still lacks the permission bits now (e.g. read-only PTEs
-    # on a writable VMA) goes through the precise per-page path.
-    flags = vma.pt.flags[idxs]
-    stale = idxs[(flags & need_bits) != need_bits]
-    for idx in stale:
-        yield from handle_fault(kernel, thread, vma.addr_of_page(int(idx)), write)
+                yield from fault(kernel, thread, vma, pending[lo : lo + batch])
+        # Whatever still lacks the permission bits now (e.g. read-only
+        # PTEs on a writable VMA) goes through the precise per-page path.
+        flags = vma.pt.flags[idxs]
+        stale = idxs[(flags & need_bits) != need_bits]
+        for idx in stale:
+            yield from handle_fault(kernel, thread, vma.addr_of_page(int(idx)), write)
     if bytes_per_page > 0:
         thread_node = kernel.machine.node_of_core(thread.core)
         if kernel.access_profiler is not None:

@@ -81,6 +81,15 @@ class Ledger:
         """Stop routing adds; the caller replays what it captured."""
         self._defer = None
 
+    def defers(self, tag: str) -> bool:
+        """Whether an active deferral would route adds under ``tag``.
+
+        The run-op replays fold their caller's access tag straight into
+        :attr:`totals`, so they decline while this holds.
+        """
+        defer = self._defer
+        return defer is not None and tag.startswith(defer[0])
+
     def reset(self) -> None:
         """Clear all entries (used between measured phases)."""
         self.totals.clear()

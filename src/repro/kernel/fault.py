@@ -221,7 +221,7 @@ def demand_zero_run(
     with the valid run that follows it, exactly as the per-page walk
     does; the caller re-enters at that page.
     """
-    if run < 1 or not kernel.turbo_ok():
+    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
         return None
     if kernel.access_profiler is not None:
         return None  # the per-page walk reports each page's access to it

@@ -43,6 +43,9 @@ bit-identical simulated state, or returns ``None`` and the caller
 falls back to the per-page reference path.  ``REPRO_SLOW_PATH=1`` /
 ``kernel.force_slow_path`` disable them wholesale (see
 ``docs/performance.md`` and ``tests/test_fastpath_equivalence.py``).
+The four fault-storm run-ops also decline while a ledger deferral
+(:meth:`~repro.kernel.accounting.Ledger.defers`) would route their
+caller's access tag, which they fold straight into the totals.
 """
 
 from __future__ import annotations
@@ -396,12 +399,12 @@ def nt_fault_run(
 
     Declines, before committing anything, on an attached access
     profiler (the per-page walk reports each page's access to it), a
-    copy that partly runs without the PTL, a writer on mmap_sem, a page
-    already on the toucher's node or on a shared frame, a toucher node
-    that cannot seat the whole run, a held or waited-on PTL, or a busy
-    migration channel.
+    deferred access tag, a copy that partly runs without the PTL, a
+    writer on mmap_sem, a page already on the toucher's node or on a
+    shared frame, a toucher node that cannot seat the whole run, a held
+    or waited-on PTL, or a busy migration channel.
     """
-    if run < 1 or not kernel.turbo_ok():
+    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
         return None
     if kernel.access_profiler is not None:
         return None
@@ -536,7 +539,7 @@ def cow_break_run(
     ``(run - 1, event)`` like :func:`demand_zero_run` (the last page's
     access merges with the following valid run), or ``None``.
     """
-    if run < 1 or not kernel.turbo_ok():
+    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
         return None
     if kernel.access_profiler is not None:
         return None
@@ -678,7 +681,7 @@ def swap_in_run(
     charge, device transfer and PTL hold in per-page float order.
     Returns ``(run - 1, event)`` or ``None``.
     """
-    if run < 1 or not kernel.turbo_ok():
+    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
         return None
     if kernel.access_profiler is not None:
         return None

@@ -6,6 +6,8 @@ import pytest
 from conftest import drive
 from repro import Madvise, MemPolicy, PROT_READ, PROT_RW, System
 from repro.errors import SegmentationFault, SimulationError, SyscallError
+from repro.kernel.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
+from repro.kernel.swap import attach_swap, swapped_pages
 from repro.util import PAGE_SIZE
 
 
@@ -122,6 +124,96 @@ def test_touch_pages_mixed_states(system):
     assert all_present
     # 4 migrated to node 1, 4 stayed on node 0, 4 fresh on node 1.
     assert hist == [4, 8, 0, 0]
+
+
+def _forked_parent(system, npages=8):
+    """A parent process whose ``npages`` touched pages a fork left
+    PRESENT|COW without WRITE, plus the address and the parent's VMA."""
+    proc = system.create_process("parent")
+    box = {}
+
+    def body(t):
+        addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW)
+        yield from t.touch(addr, npages * PAGE_SIZE)
+        yield from t.fork()
+        box["addr"] = addr
+
+    drive(system, body, core=0, process=proc)
+    vma = proc.addr_space.find_vma(box["addr"])
+    assert ((vma.pt.flags & (PTE_PRESENT | PTE_COW | PTE_WRITE)) == PTE_PRESENT | PTE_COW).all()
+    return proc, vma
+
+
+def test_touch_pages_write_breaks_cow(checked_system):
+    """Present pages without WRITE are not fault-free for a store:
+    touch_pages must break copy-on-write on every one of them."""
+    system = checked_system
+    proc, vma = _forked_parent(system)
+    shared_frames = vma.pt.frame.copy()
+
+    def body(t):
+        yield from t.touch_pages(vma, np.arange(8), write=True, bytes_per_page=64.0)
+
+    drive(system, body, core=0, process=proc)
+    flags = vma.pt.flags
+    assert ((flags & PTE_WRITE) != 0).all()
+    assert ((flags & PTE_COW) == 0).all()
+    assert not np.isin(vma.pt.frame, shared_frames).any()  # the child keeps those
+    assert system.kernel.ledger.total("cow.") > 0
+
+
+def test_touch_pages_read_over_cow_does_not_fault(checked_system):
+    """A load needs only PRESENT: a read of COW-shared pages leaves
+    their flags and frames alone and enters no fault."""
+    system = checked_system
+    proc, vma = _forked_parent(system)
+    flags, frames = vma.pt.flags.copy(), vma.pt.frame.copy()
+    ledger = system.kernel.ledger
+    entries = ledger.counts["fault.entry"]
+
+    def body(t):
+        yield from t.touch_pages(vma, np.arange(8), write=False, bytes_per_page=64.0)
+
+    drive(system, body, core=0, process=proc)
+    assert np.array_equal(vma.pt.flags, flags)
+    assert np.array_equal(vma.pt.frame, frames)
+    assert ledger.counts["fault.entry"] == entries
+    assert ledger.counts["access"] > 0
+
+
+def test_touch_pages_swaps_pages_back_in(checked_system, monkeypatch):
+    """Swapped-out pages in the set come back through swap_in_batch,
+    on the toucher's node, next to resident ones."""
+    import repro.kernel.swap as swap
+
+    system = checked_system
+    attach_swap(system.kernel)
+    proc = system.create_process("sw")
+    calls = []
+    original = swap.swap_in_batch
+
+    def counted(kernel, thread, vma, idxs):
+        calls.append(np.asarray(idxs).tolist())
+        return original(kernel, thread, vma, idxs)
+
+    monkeypatch.setattr(swap, "swap_in_batch", counted)
+
+    def body(t):
+        addr = yield from t.mmap(8 * PAGE_SIZE, PROT_RW, policy=MemPolicy.bind(0))
+        yield from t.touch(addr, 8 * PAGE_SIZE)
+        yield from t.swap_out(addr + 2 * PAGE_SIZE, 4 * PAGE_SIZE)
+        vma = proc.addr_space.find_vma(addr)
+        assert swapped_pages(vma).tolist() == [2, 3, 4, 5]
+        yield from t.migrate_to(5)  # node 1
+        yield from t.touch_pages(vma, np.arange(8), batch=3)
+        return vma
+
+    vma = drive(system, body, core=0, process=proc)
+    assert calls == [[2, 3, 4], [5]]
+    assert swapped_pages(vma).size == 0
+    assert system.kernel.swap.used == 0
+    assert vma.pt.present().all()
+    assert vma.pt.node.tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
 
 
 def test_touch_pages_rejects_protected_vma(system):

@@ -70,6 +70,59 @@ def test_blocked_matrix_validation():
         BlockedMatrix(0, 1024, 512, 2)  # bad dtype
 
 
+def _raw_block_pages(m: BlockedMatrix, i: int, j: int) -> np.ndarray:
+    """Every page each row of block (i, j) overlaps, duplicates kept."""
+    s, b = m.dtype_size, m.block
+    out = []
+    for row in range(i * b, (i + 1) * b):
+        start = (row * m.n + j * b) * s
+        out.extend(range(start // PAGE_SIZE, (start + b * s - 1) // PAGE_SIZE + 1))
+    return np.asarray(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "n, block, dtype_size",
+    [
+        # blocks share pages with their row neighbours
+        (1024, 64, 8),
+        (1024, 128, 8),
+        (1024, 256, 8),
+        (2048, 512, 4),
+        # page-independent blocks
+        (2048, 512, 8),
+        (2048, 1024, 8),
+        # matrix rows shorter than a page: a block's rows share pages
+        (256, 64, 8),
+        (256, 128, 8),
+        (480, 48, 8),  # 384-byte block rows that straddle page boundaries
+    ],
+)
+def test_page_sets_match_np_unique(n, block, dtype_size):
+    """block_pages and blocks_pages return what ``np.unique`` returns
+    for the same concatenation: the values, ascending, and int64."""
+    m = BlockedMatrix(0, n, block, dtype_size)
+    last = m.nb - 1
+    for i, j in [(0, 0), (0, last), (last, 0), (last, last), (1, last // 2)]:
+        want = np.unique(_raw_block_pages(m, i, j))
+        got = m.block_pages(i, j)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (i, j)
+    k = min(1, last)
+    block_lists = [
+        [(k, k)],  # getrf
+        [(k, k), (k, last)],  # trsm_row
+        [(k, k), (last, k)],  # trsm_col
+        [(last, k), (k, last), (last, last)],  # gemm
+        [(0, 0), (0, 1), (1, 0)],  # gemm over page-sharing neighbours
+        [(last, last - 1), (last, last)],  # same-row blocks
+    ]
+    for blocks in block_lists:
+        want = np.unique(np.concatenate([m.block_pages(i, j) for i, j in blocks]))
+        got = m.blocks_pages(blocks)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), blocks
+
+
 def test_block_pages_float32_threshold():
     """Floats halve the byte width: 1024-wide blocks become the
     page-independent ones."""

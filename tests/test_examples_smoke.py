@@ -8,7 +8,13 @@ import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
-FAST_EXAMPLES = ["quickstart.py", "lazy_migration.py", "introspection.py"]
+FAST_EXAMPLES = [
+    "quickstart.py",
+    "lazy_migration.py",
+    "introspection.py",
+    "auto_numa_balancing.py",
+    "adaptive_mesh.py",
+]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)

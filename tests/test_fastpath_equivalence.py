@@ -562,6 +562,55 @@ def test_nt_fault_run_declines_match_slow_path(case, monkeypatch):
     assert (True in outcomes) == (case == "stay"), outcomes
 
 
+@pytest.mark.parametrize("storm", ["demand_zero", "next_touch"])
+def test_runops_decline_on_deferred_tag(storm):
+    """A batch=1 storm whose access tag a ledger deferral routes (the
+    serve lease defers ``serve.*``) must reach the deferral sink add by
+    add, fast vs slow. A run-op folds its caller's tag straight into
+    the totals, so it has to decline:
+
+    * ``demand_zero``: the first touch of a 64-page bind(0) buffer;
+    * ``next_touch``: the buffer is marked with madvise(NEXTTOUCH) and
+      then touched from a node-1 core.
+    """
+    nbytes = 64 * PAGE_SIZE
+
+    def run(slow: bool):
+        ex = _executor(slow=slow)
+        kernel = ex.kernel
+        proc = ex.procs["p0"]
+        shared = {}
+        deferred = []
+
+        def setup(t):
+            addr = yield from t.mmap(nbytes, PROT_RW, policy=MemPolicy.bind(0))
+            if storm == "next_touch":
+                yield from t.touch(addr, nbytes)
+                yield from t.madvise(addr, nbytes, Madvise.NEXTTOUCH)
+            shared["addr"] = addr
+
+        def body(t):
+            yield from t.touch(
+                shared["addr"], nbytes, batch=1, bytes_per_page=64.0, tag="serve.load"
+            )
+
+        _spawn(ex, proc, 0, setup)
+        core = 0 if storm == "demand_zero" else ex.system.machine.cores_of_node(1)[0]
+        kernel.ledger.begin_defer(
+            ("serve.",), lambda tag, us: deferred.append((kernel.env.now, tag, us))
+        )
+        _spawn(ex, proc, core, body)
+        kernel.ledger.end_defer()
+        return canonical(ex), deferred
+
+    fast_state, fast_deferred = run(False)
+    slow_state, slow_deferred = run(True)
+    assert len(slow_deferred) == 64
+    assert "serve.load" not in fast_state["ledger_totals"]
+    diffs = _diff(fast_deferred, slow_deferred, "deferred") + _diff(fast_state, slow_state)
+    assert not diffs, "\n".join(diffs[:12])
+
+
 def test_run_straddling_vma_boundary():
     """Adjacent VMAs (one mapping split three ways by mprotect):
     touches, next-touch marks and a move_pages call spanning the

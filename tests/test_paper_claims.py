@@ -102,6 +102,10 @@ def test_table1_lu_4096_rows():
     small, large = result.series_of("improvement %")
     assert small < 0, f"128-blocks should thrash: {small:.1f} %"
     assert large > 15, f"512-blocks should win: {large:.1f} %"
+    # Pinned to the last bit, like the fig4/fig5/fig7 values in
+    # test_experiments.py: update only with a reviewed reason.
+    assert result.series_of("static (s)") == [2.229941118933295, 19.423251847580058]
+    assert result.series_of("next-touch (s)") == [2.586572301469331, 13.854748440301638]
 
 
 def test_fig8_user_nexttouch_and_growing_gap():
@@ -117,6 +121,25 @@ def test_fig8_user_nexttouch_and_growing_gap():
     for i in range(i512, len(result.xs)):
         assert user[i] < static[i], f"user NT must win at N={result.xs[i]}"
     assert static[-1] / kernel[-1] > static[i512] / kernel[i512] * 0.9
+    # Pinned to the last bit at N = 128, 256, 512, 1024.
+    assert static == [
+        0.00300289532631579,
+        0.023031223410526314,
+        0.7129120744057791,
+        7.708234765034468,
+    ]
+    assert kernel == [
+        0.004880365933723201,
+        0.02969271059071838,
+        0.32244519917440667,
+        2.9021083055521153,
+    ]
+    assert user == [
+        0.008462438378167644,
+        0.032245942552115076,
+        0.32484162333085403,
+        2.9033535470740803,
+    ]
 
 
 # ----------------------------------------------------------- ablations ----
