@@ -12,11 +12,12 @@ export PYTHONPATH
 test:
 	$(PYTHON) -m pytest tests/ -q
 
-# The default local verification path: the tier-1 suite, the docs
-# linter, the quick differential fuzz run, the end-to-end tracing and
-# serving smoke tests, and the host benchmark's tiny-size golden-digest
-# check (bench/golden.json).
-verify: test docs-check fuzz-quick trace-smoke serve-smoke telemetry-smoke
+# The default local verification path: the tier-1 suite (which also
+# runs the docs linter, tests/test_docs_check.py), the quick
+# differential fuzz run, the end-to-end tracing, serving and telemetry
+# smoke tests, and the host benchmark's tiny-size golden-digest check
+# (bench/golden.json).
+verify: test fuzz-quick trace-smoke serve-smoke telemetry-smoke
 	$(PYTHON) -m pytest bench/ -q
 
 # Differential fuzzing: random-but-seeded syscall workloads run against

@@ -177,15 +177,18 @@ class Kernel:
         scheduled, no other process can run — or observe intermediate
         state — before a replay schedules its own completion, so
         replaying a multi-event sequence inline is indistinguishable
-        from stepping through it. Tracepoint recorders keep the
-        reference path, where their per-event spans still exist.
-        Ledger sinks (an attached :class:`~repro.sim.trace.Tracer`)
-        need no clause: every replay hands them each charge's
-        simulated instant.
+        from stepping through it. No ``run(until=<float>)`` horizon may
+        be set either (``env.horizon``): a replay commits its whole run
+        at once, and the run would stop partway through it. Tracepoint
+        recorders keep the reference path, where their per-event spans
+        still exist. Ledger sinks (an attached
+        :class:`~repro.sim.trace.Tracer`) need no clause: every replay
+        hands them each charge's simulated instant.
         """
         return (
             not self.force_slow_path
             and self.env.idle
+            and self.env.horizon is None
             and not tracepoints.tracepoints_enabled()
         )
 

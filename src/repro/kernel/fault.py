@@ -215,88 +215,61 @@ def demand_zero_run(
     over the page-order terms (:func:`_fold_chains`). An attached
     ledger sink still gets each charge at its per-page instant.
 
+    Only runs whose every page lands on one node replay: an
+    interleaved range declines (no workload first-touches one at
+    ``batch=1``), and so does any run the shared storm gate
+    (:func:`_storm_declines`) refuses.
+
     All-or-nothing: returns ``(pages_advanced, event)``, or ``None`` to
     bail (caller falls back to :func:`handle_fault`). ``pages_advanced``
     is ``run - 1`` because the last faulted page's access charge merges
     with the valid run that follows it, exactly as the per-page walk
     does; the caller re-enters at that page.
     """
-    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
+    if _storm_declines(kernel, thread, run, tag):
         return None
-    if kernel.access_profiler is not None:
-        return None  # the per-page walk reports each page's access to it
     process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
+    policy = process.policy_for(vma)
+    if policy.kind is PolicyKind.INTERLEAVE:
         return None
     machine = kernel.machine
-    policy = process.policy_for(vma)
     local = machine.node_of_core(thread.core)
     allowed = process.allowed_mems
     allocators = kernel.allocators
     # --- allocation pre-check: every page must land exactly where the
     # per-page first-fit would put it, with zero OutOfMemory spill.
-    if policy.kind is PolicyKind.INTERLEAVE:
-        if allowed is not None:
+    nodes, _strict = candidate_nodes(policy, idx, local, machine.num_nodes)
+    if allowed is not None:
+        nodes = [n for n in nodes if n in allowed]
+        if not nodes:
             return None
-        targets = interleave_nodes(policy, np.arange(idx, idx + run, dtype=np.int64))
-        node_counts = np.bincount(targets, minlength=machine.num_nodes)
-        used_nodes = np.flatnonzero(node_counts)
-        for n in used_nodes:
-            if allocators[int(n)].free < int(node_counts[n]):
-                return None
-        target = -1
-        intended = -1
-    else:
-        nodes, _strict = candidate_nodes(policy, idx, local, machine.num_nodes)
-        if allowed is not None:
-            nodes = [n for n in nodes if n in allowed]
-            if not nodes:
-                return None
-        target = -1
-        for n in nodes:
-            if allocators[n].free >= 1:
-                target = n
-                break
-        if target < 0 or allocators[target].free < run:
-            return None
-        intended = nodes[0]
-        targets = None
-        used_nodes = (target,)
-    # --- lock pre-check: the per-pmd PTLs covering the run and the LRU
-    # lock of every target node must be free with no parked waiters
+    target = next((n for n in nodes if allocators[n].free >= 1), -1)
+    if target < 0 or allocators[target].free < run:
+        return None
+    # --- lock pre-check: the per-pmd PTLs covering the run and the
+    # target's LRU lock must be free with no parked waiters
     # (pre-existing waiters are possible even with an idle engine).
     ptl_locks = _pmd_locks(process, vma, idx, run)
     if ptl_locks is None:
         return None
-    for n in used_nodes:
-        lru = kernel.lru_locks[int(n)]
-        if lru._available <= 0 or lru._waiters:
-            return None
+    lru = kernel.lru_locks[target]
+    if lru._available <= 0 or lru._waiters:
+        return None
     # --- commit: allocate, map and account everything in bulk.
     cost = kernel.cost
     env = kernel.env
     led = kernel.ledger
-    writable = vma.allows(True)
-    if targets is None:
-        frames = allocators[target].alloc_seq(run)
-        kernel.numastat.record(intended, target, run, False)
-        vma.pt.map_pages(
-            slice(idx, idx + run), frames, np.full(run, target, dtype=np.int16), writable
-        )
-    else:
-        frames = np.empty(run, dtype=np.int64)
-        for n in used_nodes:
-            sel = targets == n
-            frames[sel] = allocators[int(n)].alloc_seq(int(node_counts[n]))
-            kernel.numastat.record(int(n), int(n), int(node_counts[n]), True)
-        vma.pt.map_pages(slice(idx, idx + run), frames, targets, writable)
+    frames = allocators[target].alloc_seq(run)
+    kernel.numastat.record(nodes[0], target, run, False)
+    vma.pt.map_pages(
+        slice(idx, idx + run), frames, np.full(run, target, dtype=np.int16), vma.allows(True)
+    )
     kernel.stats.minor_faults += run
     kernel.stats.pages_first_touched += run
     # One op per replaced per-page fault, so the counters match the
     # slow storm this run commit stands in for.
     kernel.stats.record_run("demand_zero", run, ops=run)
-    sem.stats.acquisitions += run
+    process.mmap_sem.stats.acquisitions += run
     # --- float replay: every chain below is a seeded np.cumsum (see
     # _fold_chains). Page j's clock steps are its entry, anon and alloc
     # charges and, for every page but the last, its access charge. The
@@ -306,15 +279,13 @@ def demand_zero_run(
     anon_us = cost.anon_fault_us
     alloc_us = cost.lru_lock_hold_us / 2
     last = run - 1
-    # Access charge per node (_access_cost_us's value). The per-page
-    # walk books only positive ones; a 0.0 step leaves every chain
+    # The access charge (_access_cost_us's np.float64). The per-page
+    # walk books only a positive one; a 0.0 step leaves every chain
     # unchanged.
-    acc_node = np.zeros(machine.num_nodes)
+    acc = 0.0
     if last and bytes_per_page > 0:
-        for n in used_nodes:
-            acc = _access_cost_us_single(kernel, local, int(n), bytes_per_page)
-            if acc > 0:
-                acc_node[n] = acc
+        acc = _access_cost_us_single(kernel, local, target, bytes_per_page)
+    n_acc = last if acc > 0 else 0
     t_start = env.now
     clock = np.empty(4 * run + 1)
     clock[0] = t_start
@@ -322,15 +293,11 @@ def demand_zero_run(
     steps[:, 0] = entry_us
     steps[:, 1] = anon_us
     steps[:, 2] = alloc_us
-    steps[:last, 3] = acc_node[target] if targets is None else acc_node[targets[:last]]
+    steps[:last, 3] = acc
     steps[last, 3] = 0.0
-    n_acc = int(np.count_nonzero(steps[:, 3]))
     # Python arithmetic turns the clock into an np.float64 at the first
     # access charge: pages from np_page on see np.float64 instants.
-    if isinstance(t_start, np.float64):
-        np_page = 0
-    else:
-        np_page = int(np.argmax(steps[:, 3] > 0)) + 1 if n_acc else run
+    np_page = 0 if isinstance(t_start, np.float64) else 1 if n_acc else run
     tags = ("fault.entry", "fault.anon", "fault.alloc", tag)
     seeds = [led.totals.get(name, 0.0) for name in tags]
     totals = _fold_chains(seeds, steps.T)
@@ -356,39 +323,39 @@ def demand_zero_run(
         stats.acquisitions += hi - lo
         as_np = hi > np_page or isinstance(stats.hold_time, np.float64)
         stats.hold_time = _typed(sums[g], as_np)
-    # LRU locks: one chain per target node, its other pages zeroed. A
-    # chain turns np.float64 if its node holds a page from np_page on.
-    lru_stats = [kernel.lru_locks[int(n)].stats for n in used_nodes]
-    if targets is None:
-        sums = _fold_chains([lru_stats[0].hold_time], (t3 - t2)[None, :])
-        counts = [run]
-        np_pages = [run > np_page]
-    else:
-        terms = np.where(targets == used_nodes[:, None], t3 - t2, 0.0)
-        sums = _fold_chains([stats.hold_time for stats in lru_stats], terms)
-        del terms
-        counts = node_counts[used_nodes].tolist()
-        np_pages = np.bincount(targets[np_page:], minlength=machine.num_nodes)[used_nodes] > 0
-    for i, stats in enumerate(lru_stats):
-        stats.acquisitions += counts[i]
-        as_np = bool(np_pages[i]) or isinstance(stats.hold_time, np.float64)
-        stats.hold_time = _typed(sums[i], as_np)
+    # The target's LRU lock: one chain over every page's alloc.
+    stats = lru.stats
+    (total,) = _fold_chains([stats.hold_time], (t3 - t2)[None, :])
+    stats.acquisitions += run
+    stats.hold_time = _typed(total, run > np_page or isinstance(stats.hold_time, np.float64))
     if led.sinks:
         # Each page's charges at their per-page instants: entry, anon,
         # alloc, then the access charge at the end of the alloc.
         at = clock[: 4 * np_page].tolist() + list(clock[4 * np_page :])
-        nodes = [target] * run if targets is None else targets.tolist()
-        acc_of = list(acc_node)  # np.float64 scalars, as the walk charges them
         emit = led.emit
         for j in range(run):
             b = 4 * j
             emit(at[b], entry_us, "fault.entry")
             emit(at[b + 1], anon_us, "fault.anon")
             emit(at[b + 2], alloc_us, "fault.alloc")
-            acc = acc_of[nodes[j]]
-            if j != last and acc > 0:
+            if j < n_acc:
                 emit(at[b + 3], acc, tag)
     return run - 1, env.timeout_at(_typed(clock[-1], np_page < run))
+
+
+def _storm_declines(kernel: Kernel, thread: "SimThread", run: int, tag: str) -> bool:
+    """The decline checks every fault-storm run-op shares, before its
+    own: an empty run, a closed :meth:`~repro.kernel.core.Kernel.turbo_ok`
+    gate, a ledger deferral that would route the access ``tag`` (the
+    replays fold it straight into the totals), an attached access
+    profiler (the per-page walk reports each page's access to it), or
+    a writer holding or queued on mmap_sem."""
+    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
+        return True
+    if kernel.access_profiler is not None:
+        return True
+    sem = thread.process.mmap_sem
+    return bool(sem._writer or sem._wait_writers)
 
 
 def _pmd_locks(process, vma: Vma, idx: int, run: int):

@@ -97,10 +97,11 @@ class SimFile:
             node = kernel.machine.node_of_core(thread.core)
             fresh = kernel.alloc_on(node, len(missing))
             nbytes = float(len(missing) * PAGE_SIZE)
+            t0 = kernel.env.now
             yield self.device.transfer(
                 nbytes + self.op_latency_us * self.device.capacity
             )
-            kernel.ledger.add("filemap.read", 0.0)
+            kernel.ledger.add("filemap.read", kernel.env.now - t0)
             for frame, i in zip(fresh, missing):
                 idx = int(idxs[i])
                 self.cache[idx] = int(frame)

@@ -160,7 +160,8 @@ def cow_fault(kernel: Kernel, thread: "SimThread", vma: Vma, idx: int):
                 node=dest,
             )
         yield kernel.charge("cow.control", kernel.cost.nt_fault_control_us)
+        t0 = kernel.env.now
         yield kernel.copy_pages_event(src_node, dest, float(PAGE_SIZE), process)
-        kernel.ledger.add("cow.copy", 0.0)
+        kernel.ledger.add("cow.copy", kernel.env.now - t0)
     finally:
         ptl.release()

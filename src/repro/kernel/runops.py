@@ -16,13 +16,11 @@ This module hosts the run-ops shared by the hot paths:
   (``move_pages`` / ``migrate_pages`` / ``mbind(move=True)``), its
   pagevec chunks replayed in NumPy with no per-chunk engine events or
   Python loop;
-* :func:`nt_fault_run` — a storm of migrate-on-next-touch faults by
-  one thread (the per-page ``batch=1`` touch path of Figures 5 and 7),
-  its clock a scalar loop over the pages;
-* :func:`cow_break_run` — a storm of copy-on-write break faults after
-  ``fork`` (the per-page ``batch=1`` touch path);
-* :func:`swap_in_run` — a storm of swap-in faults, with slot frees and
-  frame allocation batched via :meth:`FrameAllocator.alloc_seq`;
+* three ``batch=1`` fault storms by one thread, each a front end of
+  one per-page loop (:func:`_replay_storm`) that it feeds with its
+  page shapes: :func:`nt_fault_run` (migrate-on-next-touch, Figures 5
+  and 7), :func:`cow_break_run` (copy-on-write breaks after ``fork``)
+  and :func:`swap_in_run` (swap-in faults);
 * :func:`charge_stages` — the ``fork``/``mprotect``/``madvise``
   tails' consecutive charges, one event per stage;
 * :func:`replay_transfer` — an exact inline replay of an uncontended
@@ -43,9 +41,9 @@ bit-identical simulated state, or returns ``None`` and the caller
 falls back to the per-page reference path.  ``REPRO_SLOW_PATH=1`` /
 ``kernel.force_slow_path`` disable them wholesale (see
 ``docs/performance.md`` and ``tests/test_fastpath_equivalence.py``).
-The four fault-storm run-ops also decline while a ledger deferral
-(:meth:`~repro.kernel.accounting.Ledger.defers`) would route their
-caller's access tag, which they fold straight into the totals.
+The four fault-storm run-ops (the three above and ``demand_zero_run``)
+first pass one decline gate,
+:func:`~repro.kernel.fault._storm_declines`.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import numpy as np
 
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel
-from .fault import _access_cost_us_single, _fold_chains, _pmd_locks, _typed
+from .fault import _access_cost_us_single, _fold_chains, _pmd_locks, _storm_declines, _typed
 from .pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
 from .vma import Vma
 
@@ -374,7 +372,102 @@ def _emit_migrate(led, control_tag, copy_tag, control, before, after, counts, cl
                 emit(at[p], charge_us[p], control_tag)
 
 
-# ------------------------------------------------------------- next touch ---
+# ----------------------------------------------------------- fault storms ---
+def _replay_storm(kernel: Kernel, vma: Vma, idx: int, ptl_locks, shapes, kinds, acc, tag):
+    """Replay a ``batch=1`` fault storm's clock, ledger, sink and PTL
+    chains in per-page float order; return the storm's end instant.
+
+    Page ``idx + j`` pays fault entry, takes its split PTL, then pays
+    its shape ``shapes[kinds[j]]``. A shape is ``(locked, copy,
+    unlocked)``: ``locked`` are the ``(tag, us)`` charges under the
+    PTL; ``copy`` is a ``(tag, channel, nbytes, rate)`` copy that ends
+    the hold, replayed with :func:`replay_transfer` (``channel`` None:
+    a same-node copy of ``nbytes / rate``), or None; ``unlocked`` are
+    the charges after the PTL drops. Every page but the last then pays
+    its access charge ``acc[j]`` under ``tag`` if it is positive; the
+    last page's access merges with the valid run that follows.
+
+    Each ledger tag keeps one running total, seeded from the ledger
+    and added to in page order, and only the tags the storm booked are
+    written back. Each shape's charges are resolved to their totals'
+    slots once per call. Sinks get every charge at the instant the
+    reference path books it: a prospective charge at its start, a copy
+    at its end.
+    """
+    led = kernel.ledger
+    sinks = led.sinks
+    emit = led.emit
+    slot = {"fault.entry": 0}
+    acc_slot = slot.setdefault(tag, len(slot))
+
+    def resolve(charges):
+        return tuple((slot.setdefault(name, len(slot)), us, name) for name, us in charges)
+
+    plan = []
+    for locked, copy, unlocked in shapes:
+        if copy is not None:
+            name, channel, nbytes, rate = copy
+            copy = (slot.setdefault(name, len(slot)), name, channel, nbytes, rate)
+        plan.append((resolve(locked), copy, resolve(unlocked)))
+    totals = led.totals
+    tot = [totals.get(name, 0.0) for name in slot]
+    entry_us = kernel.cost.fault_entry_us
+    n_acc = 0
+    holds = []  # per-page PTL hold, from the entry's end to the copy's
+    t = kernel.env.now
+    for kind, acc_us in zip(kinds, [*acc[:-1], 0.0]):
+        locked, copy, unlocked = plan[kind]
+        if sinks:
+            emit(t, entry_us, "fault.entry")
+        t = t + entry_us
+        tot[0] = tot[0] + entry_us
+        since = t
+        for i, us, name in locked:
+            if sinks:
+                emit(t, us, name)
+            t = t + us
+            tot[i] = tot[i] + us
+        if copy is not None:
+            i, name, channel, nbytes, rate = copy
+            t_copy = t
+            if channel is None:
+                t = t + nbytes / rate
+            else:
+                t = replay_transfer(channel, nbytes, rate, t)
+            us = t - t_copy
+            tot[i] = tot[i] + us
+            if sinks:
+                emit(t, us, name)
+        holds.append(t - since)
+        for i, us, name in unlocked:
+            if sinks:
+                emit(t, us, name)
+            t = t + us
+            tot[i] = tot[i] + us
+        if acc_us > 0:
+            if sinks:
+                emit(t, acc_us, tag)
+            t = t + acc_us
+            tot[acc_slot] = tot[acc_slot] + acc_us
+            n_acc += 1
+    _book_ptl_holds(ptl_locks, vma, idx, holds)
+    adds = [0] * len(slot)
+    adds[0] = len(kinds)
+    adds[acc_slot] += n_acc
+    for kind, (locked, copy, unlocked) in enumerate(plan):
+        pages = kinds.count(kind)
+        for i, _us, _name in locked + unlocked:
+            adds[i] += pages
+        if copy is not None:
+            adds[copy[0]] += pages
+    counts = led.counts
+    for name, i in slot.items():
+        if adds[i]:
+            totals[name] = tot[i]
+            counts[name] += adds[i]
+    return t
+
+
 def nt_fault_run(
     kernel: Kernel,
     thread: "SimThread",
@@ -392,29 +485,23 @@ def nt_fault_run(
     charges, copies to the toucher's node through the process migration
     channel with the PTL held, pays the free and — for every page but
     the last — the interleaved access charge. The commit is bulk (one
-    ``alloc_seq``, one remap, one ``release_frames``); the clock is a
-    scalar loop over the pages that replays each copy with
-    :func:`replay_transfer`. Returns ``(run - 1, event)`` like
-    :func:`cow_break_run`, or ``None``.
+    ``alloc_seq``, one remap, one ``release_frames``); the clock is
+    :func:`_replay_storm` over one page shape. Returns ``(run - 1,
+    event)`` like :func:`cow_break_run`, or ``None``.
 
-    Declines, before committing anything, on an attached access
-    profiler (the per-page walk reports each page's access to it), a
-    deferred access tag, a copy that partly runs without the PTL, a
-    writer on mmap_sem, a page already on the toucher's node or on a
-    shared frame, a toucher node that cannot seat the whole run, a held
-    or waited-on PTL, or a busy migration channel.
+    Besides the shared storm gate
+    (:func:`~repro.kernel.fault._storm_declines`), declines before
+    committing anything on a copy that partly runs without the PTL, a
+    page already on the toucher's node or on a shared frame, a toucher
+    node that cannot seat the whole run, a held or waited-on PTL, or a
+    busy migration channel.
     """
-    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
-        return None
-    if kernel.access_profiler is not None:
+    if _storm_declines(kernel, thread, run, tag):
         return None
     cost = kernel.cost
     if cost.nt_copy_locked_fraction != 1.0:
         return None
     process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
-        return None
     pt = vma.pt
     span = slice(idx, idx + run)
     dest = kernel.machine.node_of_core(thread.core)
@@ -446,81 +533,22 @@ def nt_fault_run(
     kstats.record_run("nt_fault", run, ops=run)
     kstats.pages_migrated += run
     kstats.record_migration("nexttouch", run)
-    sem.stats.acquisitions += run
-    # --- per-page float replay ------------------------------------------
-    env = kernel.env
-    led = kernel.ledger
-    totals = led.totals
-    # Ledger sinks get each page's charges at their per-page instants:
-    # entry, control and alloc at their starts, the copy and the free
-    # at the copy's end, then the access at the free's end.
-    sinks = led.sinks
-    emit = led.emit
-    entry_us = cost.fault_entry_us
+    process.mmap_sem.stats.acquisitions += run
     # nt_fault_batch's charges for k = 1 with the entry already paid.
     control_us = 1 * cost.nt_fault_control_us + 0 * cost.fault_entry_us
-    alloc_us = cost.nt_pcp_alloc_us
-    free_us = cost.nt_pcp_free_us
     nbytes = 1.0 * PAGE_SIZE * cost.nt_copy_locked_fraction
-    copy_bw = cost.kernel_page_copy_bw
-    last = run - 1
+    shape = (
+        (("nt.control", control_us), ("nt.alloc", cost.nt_pcp_alloc_us)),
+        ("nt.copy", channel, nbytes, cost.kernel_page_copy_bw),
+        (("nt.free", cost.nt_pcp_free_us),),
+    )
     acc = 0.0
-    if last and bytes_per_page > 0:
+    if run > 1 and bytes_per_page > 0:
         acc = _access_cost_us_single(kernel, dest, dest, bytes_per_page)
-    t = env.now
-    tot_entry = totals.get("fault.entry", 0.0)
-    tot_control = totals.get("nt.control", 0.0)
-    tot_alloc = totals.get("nt.alloc", 0.0)
-    tot_copy = totals.get("nt.copy", 0.0)
-    tot_free = totals.get("nt.free", 0.0)
-    tot_acc = totals.get(tag, 0.0)
-    holds = []  # per-page PTL hold, from the entry's end to the copy's
-    for j in range(run):
-        t_page = t
-        t = t + entry_us
-        tot_entry = tot_entry + entry_us
-        since = t
-        t = t + control_us
-        tot_control = tot_control + control_us
-        t_alloc = t
-        t = t + alloc_us
-        tot_alloc = tot_alloc + alloc_us
-        t_copy = t
-        t = replay_transfer(channel, nbytes, copy_bw, t)
-        copy_us = t - t_copy
-        tot_copy = tot_copy + copy_us
-        holds.append(t - since)
-        t_free = t
-        t = t + free_us
-        tot_free = tot_free + free_us
-        if sinks:
-            emit(t_page, entry_us, "fault.entry")
-            emit(since, control_us, "nt.control")
-            emit(t_alloc, alloc_us, "nt.alloc")
-            emit(t_free, copy_us, "nt.copy")
-            emit(t_free, free_us, "nt.free")
-        if j != last and acc > 0:
-            if sinks:
-                emit(t, acc, tag)
-            t = t + acc
-            tot_acc = tot_acc + acc
-    _book_ptl_holds(ptl_locks, vma, idx, holds)
-    for name, total in (
-        ("fault.entry", tot_entry),
-        ("nt.control", tot_control),
-        ("nt.alloc", tot_alloc),
-        ("nt.copy", tot_copy),
-        ("nt.free", tot_free),
-    ):
-        totals[name] = total
-        led.counts[name] += run
-    if last and acc > 0:
-        totals[tag] = tot_acc
-        led.counts[tag] += last
-    return last, env.timeout_at(t)
+    t = _replay_storm(kernel, vma, idx, ptl_locks, (shape,), [0] * run, [acc] * run, tag)
+    return run - 1, kernel.env.timeout_at(t)
 
 
-# -------------------------------------------------------------- cow break ---
 def cow_break_run(
     kernel: Kernel,
     thread: "SimThread",
@@ -534,136 +562,82 @@ def cow_break_run(
 
     The ``batch=1`` write storm after a ``fork``: each page pays fault
     entry, takes its split PTL, either re-arms the write bit (sole
-    owner) or copies to the toucher's node (shared frame), and — for
-    every page but the last — the interleaved access charge.  Returns
-    ``(run - 1, event)`` like :func:`demand_zero_run` (the last page's
-    access merges with the following valid run), or ``None``.
+    owner) or copies to the toucher's node (shared frame; a same-node
+    copy or one through the process migration channel), and — for
+    every page but the last — the interleaved access charge. The commit
+    is bulk (the write bits, one ``alloc_seq``, one
+    ``release_frames``); the clock is :func:`_replay_storm` over those
+    three page shapes. Returns ``(run - 1, event)`` like
+    :func:`demand_zero_run` (the last page's access merges with the
+    following valid run), or ``None``.
     """
-    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
-        return None
-    if kernel.access_profiler is not None:
+    if _storm_declines(kernel, thread, run, tag):
         return None
     process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
-        return None
     pt = vma.pt
-    frames = pt.frame[idx : idx + run]
-    if np.unique(frames).size != run:
+    span = slice(idx, idx + run)
+    if np.unique(pt.frame[span]).size != run:
         return None  # aliased frames: per-page refcounts would drift
-    shared = kernel.frames_shared_mask(frames)
+    shared = kernel.frames_shared_mask(pt.frame[span])
     n_shared = int(np.count_nonzero(shared))
     dest = kernel.machine.node_of_core(thread.core)
-    if n_shared and kernel.allocators[dest].free < n_shared:
+    allocator = kernel.allocators[dest]
+    if n_shared and allocator.free < n_shared:
         return None
+    remote = shared & (pt.node[span] != dest)
     channel = None
-    if n_shared and bool(np.any(shared & (pt.node[idx : idx + run] != dest))):
-        # At least one remote copy: the per-page path would route it
-        # through the process migration channel (creating it lazily).
+    if remote.any():
+        # The per-page path routes a remote copy through the process
+        # migration channel (creating it lazily).
         channel = kernel.migration_channel(process)
         if channel._active:
             return None
     ptl_locks = _pmd_locks(process, vma, idx, run)
     if ptl_locks is None:
         return None
-    # --- per-page float replay -----------------------------------------
+    # Page shapes: 0 reuses the frame, 1 copies on the toucher's node,
+    # 2 copies across nodes.
+    kinds = (shared.astype(np.int64) + remote).tolist()
+    nodes_after = np.where(shared, dest, pt.node[span]).tolist()
+    # --- bulk commit: the write bits, then alloc_seq hands out the ids
+    # of the per-page alloc_on(dest, 1) pops, and release_frames drops
+    # the sibling-held references (a shared frame is never freed).
+    pt.flags[span] = (pt.flags[span] & np.uint16(~PTE_COW & 0xFFFF)) | np.uint16(
+        PTE_PRESENT | PTE_WRITE
+    )
+    if n_shared:
+        copied = np.flatnonzero(shared) + idx
+        old_frames = pt.frame[copied]
+        new_frames = allocator.alloc_seq(n_shared)
+        kernel.move_contents(old_frames, new_frames)  # shared: payloads copy
+        pt.frame[copied] = new_frames
+        pt.node[copied] = dest
+        kernel.release_frames(old_frames)
+    kstats = kernel.stats
+    kstats.cow_faults += run
+    kstats.cow_reused += run - n_shared
+    kstats.cow_copied += n_shared
+    kstats.record_run("cow_break", run, ops=run)
+    process.mmap_sem.stats.acquisitions += run
     cost = kernel.cost
-    env = kernel.env
-    led = kernel.ledger
-    # Ledger sinks get each page's charges at their per-page instants:
-    # entry, then reuse or control plus a 0.0 copy add at the copy's
-    # end, then access.
-    sinks = led.sinks
-    emit = led.emit
-    entry_us = cost.fault_entry_us
     ctrl_us = cost.nt_fault_control_us
     copy_bw = cost.kernel_page_copy_bw
-    local_copy_us = float(PAGE_SIZE) / copy_bw
-    t = env.now
-    tot_entry = led.totals["fault.entry"]
-    tot_reuse = led.totals["cow.reuse"] if n_shared < run else 0.0
-    tot_control = led.totals["cow.control"] if n_shared else 0.0
-    acc_total = led.totals[tag] if (run > 1 and bytes_per_page > 0) else 0.0
-    acc_count = 0
-    acc_cache: dict[int, float] = {}
-    last = run - 1
-    holds = []  # per-page PTL hold, from the entry's end to the fault's
-    for j in range(run):
-        i = idx + j
-        flags = int(pt.flags[i])
-        t_page = t
-        t = t + entry_us
-        tot_entry = tot_entry + entry_us
-        since = t  # PTL taken after the entry charge
-        if not shared[j]:
-            # Sole owner: re-arm the write bit, charge cow.reuse.
-            pt.flags[i] = np.uint16((flags & ~PTE_COW) | PTE_PRESENT | PTE_WRITE)
-            tot_reuse = tot_reuse + ctrl_us
-            t = t + ctrl_us
-            node_after = int(pt.node[i])
-        else:
-            frame = int(pt.frame[i])
-            src_node = int(pt.node[i])
-            new_frame = int(kernel.alloc_on(dest, 1)[0])
-            if kernel.track_contents:
-                data = kernel.page_data.get(frame)
-                if data is not None:
-                    kernel.page_data[new_frame] = data.copy()
-            pt.frame[i] = new_frame
-            pt.node[i] = dest
-            pt.flags[i] = np.uint16((flags & ~PTE_COW) | PTE_PRESENT | PTE_WRITE)
-            kernel.release_frames(np.asarray([frame]))
-            tot_control = tot_control + ctrl_us
-            t = t + ctrl_us
-            if src_node == dest:
-                t = t + local_copy_us
-            else:
-                t = replay_transfer(channel, float(PAGE_SIZE), copy_bw, t)
-            node_after = dest
-        holds.append(t - since)
-        t_done = t
-        if j != last and bytes_per_page > 0:
-            acc = acc_cache.get(node_after)
-            if acc is None:
-                acc = acc_cache[node_after] = _access_cost_us_single(
-                    kernel, dest, node_after, bytes_per_page
-                )
-            if acc > 0:
-                acc_total = acc_total + acc
-                acc_count += 1
-                t = t + acc
-        if sinks:
-            emit(t_page, entry_us, "fault.entry")
-            if shared[j]:
-                emit(since, ctrl_us, "cow.control")
-                emit(t_done, 0.0, "cow.copy")
-            else:
-                emit(since, ctrl_us, "cow.reuse")
-            if j != last and bytes_per_page > 0 and acc > 0:
-                emit(t_done, acc, tag)
-    _book_ptl_holds(ptl_locks, vma, idx, holds)
-    sem.stats.acquisitions += run
-    kernel.stats.cow_faults += run
-    kernel.stats.cow_reused += run - n_shared
-    kernel.stats.cow_copied += n_shared
-    kernel.stats.record_run("cow_break", run, ops=run)
-    led.totals["fault.entry"] = tot_entry
-    led.counts["fault.entry"] += run
-    if n_shared < run:
-        led.totals["cow.reuse"] = tot_reuse
-        led.counts["cow.reuse"] += run - n_shared
-    if n_shared:
-        led.totals["cow.control"] = tot_control
-        led.counts["cow.control"] += n_shared
-        led.totals["cow.copy"] += 0.0  # per-page adds of 0.0
-        led.counts["cow.copy"] += n_shared
-    if acc_count:
-        led.totals[tag] = acc_total
-        led.counts[tag] += acc_count
-    return run - 1, env.timeout_at(t)
+    control = (("cow.control", ctrl_us),)
+    shapes = (
+        ((("cow.reuse", ctrl_us),), None, ()),
+        (control, ("cow.copy", None, float(PAGE_SIZE), copy_bw), ()),
+        (control, ("cow.copy", channel, float(PAGE_SIZE), copy_bw), ()),
+    )
+    acc = [0.0] * run
+    if run > 1 and bytes_per_page > 0:
+        acc_of = {
+            n: _access_cost_us_single(kernel, dest, n, bytes_per_page) for n in set(nodes_after)
+        }
+        acc = [acc_of[n] for n in nodes_after]
+    t = _replay_storm(kernel, vma, idx, ptl_locks, shapes, kinds, acc, tag)
+    return run - 1, kernel.env.timeout_at(t)
 
 
-# ---------------------------------------------------------------- swap in ---
 def swap_in_run(
     kernel: Kernel,
     thread: "SimThread",
@@ -677,20 +651,15 @@ def swap_in_run(
 
     Frames come in one :meth:`FrameAllocator.alloc_seq` batch, swap
     slots are freed in bulk, and the page table is committed with a
-    single ``map_pages`` — while the clock replays each fault's entry
-    charge, device transfer and PTL hold in per-page float order.
-    Returns ``(run - 1, event)`` or ``None``.
+    single ``map_pages`` — while :func:`_replay_storm` replays each
+    fault's entry charge, device read and PTL hold in per-page float
+    order over one page shape. Returns ``(run - 1, event)`` or
+    ``None``.
     """
-    if run < 1 or not kernel.turbo_ok() or kernel.ledger.defers(tag):
-        return None
-    if kernel.access_profiler is not None:
+    if _storm_declines(kernel, thread, run, tag):
         return None
     device = getattr(kernel, "swap", None)
     if device is None:
-        return None
-    process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
         return None
     channel = device.channel
     if channel._active:
@@ -698,6 +667,7 @@ def swap_in_run(
     dest = kernel.machine.node_of_core(thread.core)
     if kernel.allocators[dest].free < run:
         return None
+    process = thread.process
     ptl_locks = _pmd_locks(process, vma, idx, run)
     if ptl_locks is None:
         return None
@@ -718,58 +688,17 @@ def swap_in_run(
     device.pages_in += run
     kernel.stats.pages_swapped_in += run
     kernel.stats.record_run("swap_in", run, ops=run)
-    sem.stats.acquisitions += run
-    # --- per-page float replay ------------------------------------------
-    cost = kernel.cost
-    env = kernel.env
-    led = kernel.ledger
-    # Ledger sinks get each page's charges at their per-page instants:
-    # entry, swap.in.fault, the device read at its end, then access.
-    sinks = led.sinks
-    emit = led.emit
-    entry_us = cost.fault_entry_us
+    process.mmap_sem.stats.acquisitions += run
+    # swap_in_batch's charges for k = 1: the fault under the PTL, then
+    # the device read with the op latency folded in as bytes.
     io_bytes = float(PAGE_SIZE) + device.op_latency_us * channel.capacity
-    t = env.now
-    tot_entry = led.totals["fault.entry"]
-    tot_fault = led.totals["swap.in.fault"]
-    tot_io = led.totals["swap.in"]
-    acc_total = led.totals[tag] if (run > 1 and bytes_per_page > 0) else 0.0
-    acc_count = 0
-    acc = _access_cost_us_single(kernel, dest, dest, bytes_per_page) if (
-        run > 1 and bytes_per_page > 0
-    ) else 0.0
-    last = run - 1
-    holds = []  # per-page PTL hold, from the entry's end to the read's
-    for j in range(run):
-        t_page = t
-        t = t + entry_us  # fault.entry, before mmap_sem/PTL
-        tot_entry = tot_entry + entry_us
-        since = t
-        tot_fault = tot_fault + entry_us  # swap.in.fault (k == 1)
-        t = t + entry_us
-        t0 = t
-        t = replay_transfer(channel, io_bytes, None, t)
-        tot_io = tot_io + (t - t0)
-        holds.append(t - since)
-        t_done = t
-        if j != last and acc > 0:
-            acc_total = acc_total + acc
-            acc_count += 1
-            t = t + acc
-        if sinks:
-            emit(t_page, entry_us, "fault.entry")
-            emit(since, entry_us, "swap.in.fault")
-            emit(t_done, t_done - t0, "swap.in")
-            if j != last and acc > 0:
-                emit(t_done, acc, tag)
-    _book_ptl_holds(ptl_locks, vma, idx, holds)
-    led.totals["fault.entry"] = tot_entry
-    led.counts["fault.entry"] += run
-    led.totals["swap.in.fault"] = tot_fault
-    led.counts["swap.in.fault"] += run
-    led.totals["swap.in"] = tot_io
-    led.counts["swap.in"] += run
-    if acc_count:
-        led.totals[tag] = acc_total
-        led.counts[tag] += acc_count
-    return run - 1, env.timeout_at(t)
+    shape = (
+        (("swap.in.fault", kernel.cost.fault_entry_us),),
+        ("swap.in", channel, io_bytes, None),
+        (),
+    )
+    acc = 0.0
+    if run > 1 and bytes_per_page > 0:
+        acc = _access_cost_us_single(kernel, dest, dest, bytes_per_page)
+    t = _replay_storm(kernel, vma, idx, ptl_locks, (shape,), [0] * run, [acc] * run, tag)
+    return run - 1, kernel.env.timeout_at(t)

@@ -170,8 +170,9 @@ def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
             kernel.stats.pages_swapped_out += int(idxs.size)
             kernel.stats.record_run("swap_out", int(idxs.size))
             # Write to disk, then tear down the mappings.
+            t0 = kernel.env.now
             yield device.io_event(int(idxs.size))
-            kernel.ledger.add("swap.out", 0.0)
+            kernel.ledger.add("swap.out", kernel.env.now - t0)
             if tracepoints.active(kernel):
                 for src in np.unique(src_nodes):
                     tracepoints.emit(

@@ -76,19 +76,12 @@ class TimeSeriesSampler:
         kernel = self.kernel
         point = {"t_us": float(kernel.env.now)}
         point.update(stats_snapshot(kernel))
-        profiler = kernel.access_profiler
-        if profiler is not None and hasattr(profiler, "touches_recorded"):
+        profiler = kernel.access_profiler  # a HeatTracker, if any
+        if profiler is not None:
             point["heat.touches_recorded"] = int(profiler.touches_recorded)
-            if hasattr(profiler, "window_node_totals"):
-                # O(nodes): the tracker keeps running window totals, so
-                # sampling does not copy-and-sum every heat cell.
-                node_heat = profiler.window_node_totals()
-            else:
-                node_heat = [0] * getattr(profiler, "num_nodes", 0)
-                for cell in profiler.snapshot(clear=False).values():
-                    for node, count in enumerate(cell):
-                        node_heat[node] += int(count)
-            for node, count in enumerate(node_heat):
+            # O(nodes): the tracker keeps running window totals, so
+            # sampling does not copy-and-sum every heat cell.
+            for node, count in enumerate(profiler.window_node_totals()):
                 point[f"heat.node{node}"] = int(count)
         for name, source in self.extra_sources.items():
             value = source()

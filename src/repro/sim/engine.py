@@ -323,6 +323,7 @@ class Environment:
         self._seq = 0
         #: Total events processed — useful for performance reporting.
         self.events_processed: int = 0
+        self._horizon: Optional[float] = None
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -371,6 +372,16 @@ class Environment:
         before replaying multi-event sequences inline.
         """
         return not self._queue and not self._ready
+
+    @property
+    def horizon(self) -> Optional[float]:
+        """The float ``until`` of the innermost :meth:`run` in progress,
+        or ``None`` outside one (read-only).
+
+        A replay that commits a multi-event sequence at once would run
+        past it, so the turbo gate declines while one is set.
+        """
+        return self._horizon
 
     # -- scheduling --------------------------------------------------------
     def _push(self, event: Event, delay: float) -> None:
@@ -435,10 +446,14 @@ class Environment:
                 self.step()
             return None
         horizon = float(until)
-        while True:
-            t = self._peek_time()
-            if t is None or t > horizon:
-                break
-            self.step()
+        outer, self._horizon = self._horizon, horizon
+        try:
+            while True:
+                t = self._peek_time()
+                if t is None or t > horizon:
+                    break
+                self.step()
+        finally:
+            self._horizon = outer
         self.now = max(self.now, horizon)
         return None

@@ -3,8 +3,10 @@
 import pytest
 
 from conftest import drive
-from repro import PROT_RW, System
+from repro import PROT_READ, PROT_RW, System
 from repro.kernel.accounting import Ledger
+from repro.kernel.files import SimFile, mmap_file
+from repro.kernel.swap import attach_swap
 from repro.util import PAGE_SIZE
 
 
@@ -80,3 +82,47 @@ def test_node_free_pages_reflects_usage(system):
     free_after = system.kernel.node_free_pages()
     assert free_before[0] - free_after[0] == 16
     assert free_before[1:] == free_after[1:]
+
+
+@pytest.mark.parametrize("slow", [False, True])
+@pytest.mark.parametrize("op", ["cow_copy", "swap_out", "file_read"])
+def test_timed_transfers_reach_the_ledger(op, slow):
+    """All simulated time flows through the ledger: on one thread, a
+    COW write storm's page copies, a forced swap-out's device write and
+    a cold page-cache read each advance ``ledger.total()`` by the
+    clock's advance, on the fast paths and the forced-slow path alike.
+    The 64-page buffer is first-touched on node 0 and the measured
+    thread runs on node 1."""
+    system = System()
+    kernel = system.kernel
+    kernel.force_slow_path = slow
+    attach_swap(kernel)
+    proc = system.create_process("p")
+    nbytes = 64 * PAGE_SIZE
+    file = SimFile(kernel, "data.bin", nbytes)
+    addrs = {}
+
+    def setup(t):
+        addrs["anon"] = yield from t.mmap(nbytes, PROT_RW)
+        yield from t.touch(addrs["anon"], nbytes)
+        if op == "cow_copy":
+            yield from t.fork()
+        elif op == "file_read":
+            addrs["file"] = yield from mmap_file(t, file, PROT_READ)
+
+    def measured(t):
+        t0, booked = system.now, kernel.ledger.total()
+        if op == "cow_copy":
+            yield from t.touch(addrs["anon"], nbytes, write=True, batch=1)
+        elif op == "swap_out":
+            yield from t.swap_out(addrs["anon"], nbytes)
+        else:
+            yield from t.touch(addrs["file"], nbytes, write=False, batch=1)
+        return system.now - t0, kernel.ledger.total() - booked
+
+    drive(system, setup, core=0, process=proc)
+    elapsed, booked = drive(
+        system, measured, core=system.machine.cores_of_node(1)[0], process=proc
+    )
+    assert elapsed > 0
+    assert booked == pytest.approx(elapsed)

@@ -218,6 +218,21 @@ def _assert_equivalent(seed: int, bytes_per_page: float = 0.0) -> None:
     _assert_same_trace(fast_tracer, slow_tracer, f"seed {seed}")
 
 
+def _spy(monkeypatch, module, name: str) -> list[bool]:
+    """Wrap the run-op ``module.name`` so each call records whether it
+    engaged (returned non-``None``); returns the record."""
+    outcomes: list[bool] = []
+    original = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        result = original(*args, **kwargs)
+        outcomes.append(result is not None)
+        return result
+
+    monkeypatch.setattr(module, name, spied)
+    return outcomes
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fastpath_matches_slow_path(seed):
     _assert_equivalent(seed)
@@ -248,13 +263,17 @@ def test_corpus_covers_every_op_kind():
 
 
 @pytest.mark.parametrize("interleave", [False, True])
-def test_turbo_demand_zero_matches_slow_path(interleave):
+def test_turbo_demand_zero_matches_slow_path(interleave, monkeypatch):
     """Targeted per-page walk: touches at batch=1 with a non-zero
-    access cost, under DEFAULT and INTERLEAVE policies (the two
-    allocation shapes the turbo commit implements). The touch runs as
-    two storms, pages 0-36 then 37-1499, so the second storm's first
-    pmd lock and its LRU locks already hold time: each page's hold
-    must fold into that running total in page order."""
+    access cost, under DEFAULT and INTERLEAVE policies. The touch runs
+    as two storms, pages 0-36 then 37-1499, so the second storm's first
+    pmd lock and its LRU lock already hold time: each page's hold must
+    fold into that running total in page order. demand_zero_run
+    replays both DEFAULT storms and declines every interleaved run,
+    which the per-page path then takes."""
+    import repro.kernel.access as access
+
+    outcomes = _spy(monkeypatch, access, "demand_zero_run")
 
     def script(ex):
         proc = ex.procs["p0"]
@@ -280,6 +299,8 @@ def test_turbo_demand_zero_matches_slow_path(interleave):
         _spawn(ex, proc, 0, body)
 
     _assert_script_equivalent(script, bytes_per_page=float(PAGE_SIZE))
+    assert outcomes, "demand_zero_run was never called"
+    assert all(engaged != interleave for engaged in outcomes), outcomes
 
 
 # ------------------------------------------------------- run-op layer ----
@@ -349,9 +370,15 @@ def test_migrate_run_matches_slow_path(shape):
 
 
 @pytest.mark.parametrize("bytes_per_page", [0.0, float(PAGE_SIZE)])
-def test_cow_break_run_matches_slow_path(bytes_per_page):
+def test_cow_break_run_matches_slow_path(bytes_per_page, monkeypatch):
     """The batch=1 write storm after fork: shared frames copy, the
-    sole-owner half (child unmapped it) re-arms the write bit."""
+    sole-owner half (child unmapped it) re-arms the write bit. The
+    frames sit on node 0. The storm runs twice: a toucher on node 1
+    copies through the migration channel, one on node 0 takes the
+    same-node copy. cow_break_run must replay both."""
+    import repro.kernel.access as access
+
+    outcomes = _spy(monkeypatch, access, "cow_break_run")
 
     def script(ex):
         proc = ex.procs["p0"]
@@ -372,7 +399,7 @@ def test_cow_break_run_matches_slow_path(bytes_per_page):
             yield from t.munmap(shared["addr"], (npages // 2) * PAGE_SIZE)
 
         _spawn(ex, shared["child"], 0, child_trim)
-        toucher_core = ex.system.machine.cores_of_node(1)[0]
+        toucher_core = ex.system.machine.cores_of_node(toucher_node)[0]
 
         def parent_touch(t):
             yield from t.touch(
@@ -385,13 +412,20 @@ def test_cow_break_run_matches_slow_path(bytes_per_page):
 
         _spawn(ex, proc, toucher_core, parent_touch)
 
-    _assert_script_equivalent(script, bytes_per_page=bytes_per_page)
+    for toucher_node in (1, 0):
+        outcomes.clear()
+        _assert_script_equivalent(script, bytes_per_page=bytes_per_page)
+        assert outcomes and all(outcomes), (toucher_node, outcomes)
 
 
 @pytest.mark.parametrize("bytes_per_page", [0.0, float(PAGE_SIZE)])
-def test_swap_in_run_matches_slow_path(bytes_per_page):
+def test_swap_in_run_matches_slow_path(bytes_per_page, monkeypatch):
     """Forced swap-out then a batch=1 touch storm: run-granular
-    swap-out and swap_in_run, faulting back on the toucher's node."""
+    swap-out and swap_in_run, faulting back on the toucher's node.
+    swap_in_run must replay the storm."""
+    import repro.kernel.access as access
+
+    outcomes = _spy(monkeypatch, access, "swap_in_run")
 
     def script(ex):
         proc = ex.procs["p0"]
@@ -419,6 +453,7 @@ def test_swap_in_run_matches_slow_path(bytes_per_page):
         _spawn(ex, proc, toucher_core, toucher)
 
     _assert_script_equivalent(script, bytes_per_page=bytes_per_page)
+    assert outcomes and all(outcomes), outcomes
 
 
 #: The ``late`` next-touch storm's start: from 2**27 us on, every 4 KiB
@@ -531,15 +566,7 @@ def test_nt_fault_run_declines_match_slow_path(case, monkeypatch):
     import repro.kernel.access as access
     from repro.kernel.heat import HeatTracker
 
-    outcomes: list[bool] = []
-    original = access.nt_fault_run
-
-    def counted(*args, **kwargs):
-        result = original(*args, **kwargs)
-        outcomes.append(result is not None)
-        return result
-
-    monkeypatch.setattr(access, "nt_fault_run", counted)
+    outcomes = _spy(monkeypatch, access, "nt_fault_run")
 
     def setup_hook(t, addr, nbytes):
         if case == "stay":
@@ -839,6 +866,35 @@ def test_force_slow_path_disables_turbo():
     assert all(f < s for f, s in zip(fast, slow)), (fast, slow)
 
 
+def test_float_horizon_stops_storm_at_same_page():
+    """``run(until=<float>)`` stops a batch=1 first-touch storm of
+    1,000 pages at the same page fast and forced-slow: the turbo gate
+    declines while a float horizon is set, so no replay commits past
+    it. The canonical states match at the horizon and after the run
+    completes."""
+
+    def run(slow: bool) -> tuple[dict, dict]:
+        ex = _executor(slow=slow)
+
+        def body(t):
+            addr = yield from t.mmap(1000 * PAGE_SIZE, PROT_RW)
+            yield from t.touch(addr, 1000 * PAGE_SIZE, batch=1)
+
+        ex.system.spawn(ex.procs["p0"], 0, body)
+        ex.system.run(until=200.0)
+        assert ex.kernel.env.horizon is None
+        at_horizon = canonical(ex)
+        ex.system.run()
+        return at_horizon, canonical(ex)
+
+    fast, slow = run(False), run(True)
+    assert 0 < fast[0]["stats"]["minor_faults"] < 1000  # stopped mid-storm
+    assert fast[1]["stats"]["minor_faults"] == 1000
+    for label, a, b in zip(("at the horizon", "at the end"), fast, slow):
+        diffs = _diff(a, b)
+        assert not diffs, f"{label}:\n" + "\n".join(diffs[:12])
+
+
 def test_runops_engage_with_tracer_attached(monkeypatch):
     """A tracer is a ledger sink, not an observer the turbo gate must
     yield to: with one attached, ``turbo_ok()`` holds and every run-op
@@ -846,26 +902,16 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
     import repro.kernel.access as access
     import repro.kernel.migrate as migrate
 
-    outcomes: dict[str, list] = {}
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            result = original(*args, **kwargs)
-            outcomes.setdefault(name, []).append(result is not None)
-            return result
-
-        monkeypatch.setattr(module, name, counted)
-
-    for module, name in (
-        (access, "demand_zero_run"),
-        (access, "nt_fault_run"),
-        (access, "cow_break_run"),
-        (access, "swap_in_run"),
-        (migrate, "migrate_run"),
-    ):
-        count(module, name)
+    outcomes = {
+        name: _spy(monkeypatch, module, name)
+        for module, name in (
+            (access, "demand_zero_run"),
+            (access, "nt_fault_run"),
+            (access, "cow_break_run"),
+            (access, "swap_in_run"),
+            (migrate, "migrate_run"),
+        )
+    }
 
     tracer = Tracer(capacity=TRACE_CAPACITY)
     ex = _executor(slow=False, tracer=tracer)
@@ -895,13 +941,6 @@ def test_runops_engage_with_tracer_attached(monkeypatch):
 
     _spawn(ex, proc, toucher_core, cow_then_swap)
     assert ex.kernel.turbo_ok()
-    assert set(outcomes) == {
-        "demand_zero_run",
-        "nt_fault_run",
-        "cow_break_run",
-        "swap_in_run",
-        "migrate_run",
-    }
-    assert all(all(engaged) for engaged in outcomes.values()), outcomes
+    assert all(engaged and all(engaged) for engaged in outcomes.values()), outcomes
     tags = {s.tag for s in tracer.samples}
     assert {"fault.anon", "move_pages.copy", "nt.copy", "cow.copy", "swap.in"} <= tags

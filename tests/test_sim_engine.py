@@ -238,3 +238,21 @@ def test_events_processed_counter():
     env.process(proc())
     env.run()
     assert env.events_processed >= 10
+
+
+def test_horizon_is_set_only_inside_a_float_run():
+    """``env.horizon`` reads the float ``until`` while that run is in
+    progress and ``None`` otherwise (the kernel's turbo gate tests it)."""
+    env = Environment()
+    seen = []
+
+    def proc():
+        seen.append(env.horizon)
+        yield env.timeout(10.0)
+        seen.append(env.horizon)
+
+    env.process(proc())
+    env.run(until=5.0)
+    assert env.horizon is None
+    env.run()
+    assert seen == [5.0, None]
