@@ -7,17 +7,17 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test verify perf fuzz fuzz-quick docs-check trace-smoke serve-smoke telemetry-smoke experiments examples loc clean
+.PHONY: test verify perf fuzz fuzz-quick docs-check experiments examples loc clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
 
 # The default local verification path: the tier-1 suite (which also
-# runs the docs linter, tests/test_docs_check.py), the quick
-# differential fuzz run, the end-to-end tracing, serving and telemetry
-# smoke tests, and the host benchmark's tiny-size golden-digest check
-# (bench/golden.json).
-verify: test fuzz-quick trace-smoke serve-smoke telemetry-smoke
+# runs the docs linter, tests/test_docs_check.py, and the CLI artifact
+# checks of the observed flows and serve runs in tests/test_experiments.py),
+# the quick differential fuzz run, and the host benchmark's tiny-size
+# golden-digest check (bench/golden.json).
+verify: test fuzz-quick
 	$(PYTHON) -m pytest bench/ -q
 
 # Differential fuzzing: random-but-seeded syscall workloads run against
@@ -42,24 +42,6 @@ perf:
 # Fail if docs reference modules/files/CLI flags that don't exist.
 docs-check:
 	$(PYTHON) tools/docs_check.py
-
-# End-to-end tracing smoke test: an instrumented fig4 run with
-# --tracepoints --trace --check; asserts every artifact parses and the
-# event stream matches the registry schemas. See docs/observability.md §9.
-trace-smoke:
-	$(PYTHON) tools/trace_smoke.py
-
-# End-to-end telemetry smoke test: the always-on counters bit-identical
-# fast-vs-slow on a canned workload, the serve series sampled, and the
-# --timeseries CLI artifacts parsing. See docs/observability.md §10.
-telemetry-smoke:
-	$(PYTHON) tools/telemetry_smoke.py
-
-# End-to-end serving smoke test: a tiny 2-tenant KV policy race with
-# --json; asserts the manifest carries non-empty per-policy and
-# per-tenant latency reservoirs. See docs/serving.md.
-serve-smoke:
-	$(PYTHON) tools/serve_smoke.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli all

@@ -465,6 +465,19 @@ def _maybe_profile(args, name: str, fn: Callable[[], object]):
     return result
 
 
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse ``type``: parse with ``kind``, reject values <= 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser (also introspected by tools/docs_check.py)."""
     parser = argparse.ArgumentParser(
@@ -548,21 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve = parser.add_argument_group("serve (KV policy race)")
     serve.add_argument(
         "--tenants",
-        type=int,
+        type=_positive(int),
         default=3,
         metavar="N",
         help="tenants in the serving mix (default: 3)",
     )
     serve.add_argument(
         "--requests",
-        type=int,
+        type=_positive(int),
         default=800,
         metavar="N",
         help="requests per client stream (default: 800)",
     )
     serve.add_argument(
         "--slo-us",
-        type=float,
+        type=_positive(float),
         default=fig_serve.DEFAULT_SLO_US,
         metavar="US",
         help="per-tenant p99 latency SLO in simulated microseconds "
@@ -580,30 +593,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags a mode cannot honour (exit 2): ``introspect`` runs its own
+#: canned workload, and whole-run observers cannot follow ``--workers``.
+_INCOMPATIBLE = {
+    "introspect": ("--csv", "--json", "--trace", "--timeseries", "--workers"),
+    "--workers": ("--trace", "--tracepoints", "--timeseries", "--profile", "--check"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "introspect":
+    mode = "introspect" if args.experiment == "introspect" else "--workers"
+    active = mode == "introspect" or args.workers is not None
+    clash = [flag for flag in _INCOMPATIBLE[mode] if getattr(args, flag[2:])]
+    if active and clash:
+        print(f"error: {mode} cannot be combined with {', '.join(clash)}", file=sys.stderr)
+        return 2
+    if mode == "introspect":
         return _maybe_profile(args, "introspect", lambda: _run_introspect(args))
     workers = None
     if args.workers is not None:
-        incompatible = [
-            flag
-            for flag, value in (
-                ("--trace", args.trace),
-                ("--tracepoints", args.tracepoints),
-                ("--timeseries", args.timeseries),
-                ("--profile", args.profile),
-                ("--check", args.check),
-            )
-            if value
-        ]
-        if incompatible:
-            print(
-                f"error: --workers cannot be combined with {', '.join(incompatible)}",
-                file=sys.stderr,
-            )
-            return 2
         try:
             workers = parallel.resolve_workers(args.workers)
         except ValueError as exc:

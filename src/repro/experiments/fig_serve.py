@@ -130,7 +130,8 @@ def run(
     in order; :func:`repro.experiments.parallel.run_sweep` passes a
     process pool's. Every point gets the same ``seed``.
     """
-    chosen = tuple(policies) if policies else POLICIES
+    # A policy named twice races once: stats are keyed by its label.
+    chosen = tuple(dict.fromkeys(policies)) if policies else POLICIES
     thetas = FULL_THETAS if full else (0.9,)
     result = ServeResult(
         experiment_id="serve",

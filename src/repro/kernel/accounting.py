@@ -43,14 +43,8 @@ class Ledger:
         #: this is what keeps deferred totals bit-identical.
         self._defer: "tuple[tuple[str, ...], object] | None" = None
 
-    def add(self, tag: str, duration_us: float, at_us: "float | None" = None) -> None:
-        """Record ``duration_us`` of work under ``tag``.
-
-        ``at_us`` is the simulated instant of the charge, passed by
-        replays that run ahead of the engine clock; ``None`` means
-        "now". It reaches the sinks only — the totals do not depend
-        on it.
-        """
+    def add(self, tag: str, duration_us: float) -> None:
+        """Record ``duration_us`` of work under ``tag``, charged now."""
         defer = self._defer
         if defer is not None and tag.startswith(defer[0]):
             defer[1](tag, duration_us)
@@ -58,7 +52,7 @@ class Ledger:
         self.totals[tag] += duration_us
         self.counts[tag] += 1
         if self.sinks:  # the unobserved hot path pays one test
-            self.emit(at_us, duration_us, tag)
+            self.emit(None, duration_us, tag)
 
     def emit(self, at_us: "float | None", duration_us: float, tag: str) -> None:
         """Feed one charge to the sinks without touching the totals.

@@ -188,7 +188,7 @@ class PageTable:
         return left, right
 
     def check_invariants(self) -> None:
-        """Internal consistency checks (used by tests and debug mode)."""
+        """Internal consistency checks (used by tests)."""
         populated = self.frame >= 0
         present = (self.flags & PTE_PRESENT) != 0
         writable = (self.flags & PTE_WRITE) != 0

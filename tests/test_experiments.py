@@ -5,6 +5,9 @@ these verify the harness mechanics: result structure, determinism,
 rendering, CLI, and the bit-exact fig4/fig5/fig7 pins.
 """
 
+import json
+import re
+
 import pytest
 
 from repro.experiments import (
@@ -14,10 +17,13 @@ from repro.experiments import (
     fig6_breakdown,
     fig7_scalability,
     fig8_matmul,
+    fig_serve,
     table1_lu,
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import ExperimentResult, default_page_counts
+from repro.obs.timeseries import SCHEMA
+from repro.obs.tracepoints import TRACEPOINTS
 
 
 def test_default_page_counts():
@@ -145,8 +151,6 @@ def test_save_csv_round_trip(tmp_path):
 
 
 def test_result_to_json_schema_and_ordering():
-    import json
-
     r = ExperimentResult(
         "figx", "Title", "pages", [1, 2], {"zeta": [1.0, 2.0], "alpha": [3.0, 4.0]},
         notes=["n1"],
@@ -167,8 +171,6 @@ def test_result_to_json_schema_and_ordering():
 
 
 def test_result_to_json_coerces_numpy_scalars():
-    import json
-
     import numpy as np
 
     r = ExperimentResult("figx", "T", "n", [np.int64(1)], {"a": [np.float64(2.5)]})
@@ -184,8 +186,6 @@ def test_ragged_series_rejected_by_exporters():
 
 
 def test_save_json(tmp_path):
-    import json
-
     r = ExperimentResult("fig99", "T", "n", [1], {"a": [2.5]})
     path = r.save_json(tmp_path)
     assert path.endswith("fig99.json")
@@ -214,8 +214,6 @@ def test_cli_csv_flag(tmp_path, capsys):
 
 
 def test_cli_json_and_trace_flags(tmp_path):
-    import json
-
     assert cli_main(["fig5", "--json", str(tmp_path), "--trace", str(tmp_path)]) == 0
     result = json.load(open(tmp_path / "fig5.json"))
     assert result["schema"] == "repro.experiment_result/v1"
@@ -239,8 +237,6 @@ def test_cli_without_artifact_flags_writes_nothing(tmp_path, capsys):
 
 
 def test_cli_check_flag(tmp_path, capsys):
-    import json
-
     from repro.check import INVARIANTS
 
     assert cli_main(["fig5", "--check", "--json", str(tmp_path)]) == 0
@@ -258,8 +254,6 @@ def test_cli_observed_artifacts_match_slow_path(tmp_path, monkeypatch, capsys):
     """An observed run takes the fast paths and still writes what the
     per-page reference path writes. Only host-side fields may differ:
     argv, wall time and the engine's event count."""
-    import json
-
     def run(out) -> None:
         d = str(out)
         assert cli_main(["fig4", "--json", d, "--trace", d, "--check"]) == 0
@@ -288,9 +282,80 @@ def test_cli_check_flag_alone_runs_checkers(capsys):
     assert "invariants OK" in capsys.readouterr().err
 
 
-def test_cli_workers_sweep_matches_serial(tmp_path, capsys):
-    import json
+NUMA_MAPS_RE = re.compile(
+    r"^[0-9a-f]{12} (default|bind:[\d,]+|prefer:\d+|interleave:[\d,]+) "
+    r"(anon|file)=\d+"
+)
 
+
+def test_cli_observation_artifacts_parse(tmp_path, capsys):
+    """Figures 1 and 2 under every whole-run observer: each artifact
+    parses, and the tracepoint stream matches the registry schemas."""
+    d = str(tmp_path)
+    flags = ["--tracepoints", d, "--trace", d, "--timeseries", d, "--check"]
+    assert cli_main(["flows", *flags]) == 0
+    events = [json.loads(line) for line in open(tmp_path / "flows.tracepoints.jsonl")]
+    assert events
+    for event in events:
+        fields = set(event) - {"name", "t_us", "sys"}
+        assert fields == set(TRACEPOINTS[event["name"]].fields), event
+    names = {event["name"] for event in events}
+    assert {"migrate:phase_copy", "fault:enter", "move_pages:batch"} <= names
+    for name in ("flows.phases.trace.json", "flows.trace.json"):
+        trace = json.load(open(tmp_path / name))
+        assert any(e.get("ph") == "X" for e in trace), name
+    maps = (tmp_path / "flows.numa_maps.txt").read_text().splitlines()
+    for line in maps:
+        assert not line or line.startswith("#") or NUMA_MAPS_RE.match(line), line
+    vmstat = (tmp_path / "flows.vmstat.txt").read_text().splitlines()
+    rows = [line.split() for line in vmstat if line and not line.startswith("#")]
+    assert rows and all(len(row) == 2 and re.fullmatch(r"\d+", row[1]) for row in rows)
+    series = json.load(open(tmp_path / "flows.timeseries.json"))
+    assert series["schema"] == SCHEMA and series["points"]
+    counter_trace = json.load(open(tmp_path / "flows.timeseries.trace.json"))
+    counters = [e for e in counter_trace if e.get("ph") == "C"]
+    assert counters and all("value" in e["args"] for e in counters)
+
+
+def test_cli_serve_manifest_matches_slow_path(tmp_path, monkeypatch, capsys):
+    """A tiny two-tenant race writes the same manifest on the default
+    and the forced-slow path, and its serve block is fully populated."""
+    issued = 2 * 2 * 200  # tenants x clients x requests
+
+    def run(out) -> dict:
+        argv = ["serve", "--tenants", "2", "--requests", "200"]
+        assert cli_main([*argv, "--policies", "nexttouch", "--json", str(out)]) == 0
+        assert "req/s" in capsys.readouterr().out
+        json.load(open(out / "serve.metrics.json"))
+        manifest = json.load(open(out / "serve.manifest.json"))
+        serve = manifest["serve"]
+        assert isinstance(serve["slo_us"], float)
+        assert set(serve["policies"]) == {"nexttouch"}
+        stats = serve["policies"]["nexttouch"]
+        assert stats["requests"] == issued and stats["throughput_rps"] > 0
+        p99 = stats["latency_us"]["p99"]
+        assert isinstance(p99, float) and p99 > 0
+        tenants = stats["tenants"]
+        assert len(tenants) == 2
+        for tenant in tenants.values():
+            assert tenant["requests"] == 2 * 200
+            assert tenant["latency_us"]["p99"] is not None
+        assert stats["series"]["schema"] == SCHEMA
+        points = stats["series"]["points"]
+        assert any("serve.p99_us" in p for p in points)
+        assert all(a["t_us"] <= b["t_us"] for a, b in zip(points, points[1:]))
+        kstats = manifest["kernel_stats"]
+        assert kstats["serve_turbo_requests"] + kstats["serve_slow_requests"] == issued
+        for field in ("argv", "wall_time_s"):
+            manifest.pop(field)
+        return manifest
+
+    fast = run(tmp_path / "fast")
+    monkeypatch.setenv("REPRO_SLOW_PATH", "1")  # read at kernel construction
+    assert run(tmp_path / "slow") == fast
+
+
+def test_cli_workers_sweep_matches_serial(tmp_path, capsys):
     serial, sharded = tmp_path / "serial", tmp_path / "sharded"
     assert cli_main(["fig5", "--json", str(serial)]) == 0
     assert cli_main(["fig5", "--workers", "2", "--json", str(sharded)]) == 0
@@ -303,8 +368,6 @@ def test_cli_workers_sweep_matches_serial(tmp_path, capsys):
 
 
 def test_cli_workers_non_sweep_writes_run_artifacts(tmp_path, capsys):
-    import json
-
     assert cli_main(["blas1", "--workers", "2", "--json", str(tmp_path)]) == 0
     assert "not a shardable sweep" in capsys.readouterr().err
     manifest = json.load(open(tmp_path / "blas1.manifest.json"))
@@ -315,8 +378,6 @@ def test_cli_workers_non_sweep_writes_run_artifacts(tmp_path, capsys):
 def test_cli_whatif_json_merges_machine_sizes(tmp_path, capsys):
     """The what-if machines have 2, 4 and 8 nodes; the manifest sums
     numastat per node index over all of them."""
-    import json
-
     assert cli_main(["whatif", "--json", str(tmp_path)]) == 0
     manifest = json.load(open(tmp_path / "whatif.manifest.json"))
     assert manifest["numastat"]
@@ -336,6 +397,32 @@ def test_cli_rejects_unknown_experiment():
         with pytest.raises(SystemExit) as exc:
             cli_main([name])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tenants", "0"), ("--slo-us", "-1"), ("--requests", "0"), ("--requests", "-5")],
+)
+def test_cli_serve_rejects_non_positive_shapes(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["serve", flag, value])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_serve_races_a_repeated_policy_once():
+    result = fig_serve.run(policies=["static", "static"], requests=10)
+    assert result.xs == ["static"]
+    assert list(result.stats) == ["static"]
+
+
+@pytest.mark.parametrize("flag", ["--json", "--trace", "--workers"])
+def test_cli_introspect_rejects_flags_it_cannot_honour(flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    value = "2" if flag == "--workers" else str(out)
+    assert cli_main(["introspect", flag, value]) == 2
+    assert f"introspect cannot be combined with {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_whatif_machines_structure():

@@ -14,7 +14,9 @@ The load-bearing properties:
 
 Fast-vs-slow bit-identity of the counters themselves is pinned by
 ``tests/test_fastpath_equivalence.py`` (the counters and a closing
-time-series sample are part of the diffed canonical state).
+time-series sample are part of the diffed canonical state) and, for
+one canned touch / swap / migrate / next-touch workload, by
+``test_traced_kernel_still_counts``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import json
 import pytest
 
 from conftest import drive
-from repro import PROT_RW, System
+from repro import PROT_RW, Madvise, System
+from repro.kernel.swap import attach_swap
 from repro.obs.telemetry import (
     COUNTERS,
     MIGRATION_REASONS,
@@ -161,26 +164,42 @@ def test_stacked_tracers_detach_in_either_order(first_out):
 
 def test_traced_kernel_still_counts():
     """Counters accumulate identically with a tracer attached (they
-    sit below the ledger sinks, on the kernel paths themselves)."""
+    sit below the ledger sinks, on the kernel paths themselves) and on
+    the forced-slow reference paths, over first touch, swap-out and
+    swap-in, migration and a next-touch storm."""
+    npages = 256
+    size = npages * PAGE_SIZE
 
-    def run(traced: bool) -> dict:
+    def run(traced: bool = False, slow: bool = False) -> dict:
         system = System()
+        kernel = system.kernel
+        kernel.force_slow_path = slow
         if traced:
-            Tracer().attach(system.kernel)
-        proc = system.create_process("p")
+            Tracer().attach(kernel)
+        attach_swap(kernel)
 
         def body(t):
-            addr = yield from t.mmap(64 * PAGE_SIZE, PROT_RW)
-            yield from t.touch(addr, 64 * PAGE_SIZE, write=True, batch=1)
-            yield from t.move_range(addr, 32 * PAGE_SIZE, 1)
+            addr = yield from t.mmap(size, PROT_RW)
+            yield from t.touch(addr, size, write=True, batch=1)
+            yield from t.swap_out(addr, size // 2)
+            yield from t.touch(addr, size // 2, batch=1)
+            yield from t.move_range(addr, size, 1)
+            # Next-touch from this node-0 core pulls every page back.
+            yield from t.madvise(addr, size, Madvise.NEXTTOUCH)
+            yield from t.touch(addr, size, batch=1)
 
-        drive(system, body, core=0, process=proc)
-        return system.kernel.stats.snapshot()
+        drive(system, body, core=0)
+        return stats_snapshot(kernel)
 
-    untraced, traced = run(False), run(True)
-    assert untraced == traced
-    assert untraced["pages_migrated"] == 32
-    assert untraced["minor_faults"] == 64
+    untraced = run()
+    assert run(traced=True) == untraced
+    assert run(slow=True) == untraced
+    assert untraced["minor_faults"] == npages
+    assert untraced["nt_faults"] == npages
+    assert untraced["pages_migrated"] == 2 * npages
+    assert untraced["pages_swapped_out"] == npages // 2
+    assert untraced["pages_swapped_in"] == npages // 2
+    assert min(untraced.values()) >= 0
 
 
 # ------------------------------------------------------------- sampler ----
