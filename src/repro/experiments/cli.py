@@ -594,9 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Flags a mode cannot honour (exit 2): ``introspect`` runs its own
-#: canned workload, and whole-run observers cannot follow ``--workers``.
+#: canned workload, the text-only experiments have no result series to
+#: write as CSV, and whole-run observers cannot follow ``--workers``.
 _INCOMPATIBLE = {
     "introspect": ("--csv", "--json", "--trace", "--timeseries", "--workers"),
+    "fig3": ("--csv",),
+    "flows": ("--csv",),
+    "calibration": ("--csv",),
     "--workers": ("--trace", "--tracepoints", "--timeseries", "--profile", "--check"),
 }
 
@@ -604,13 +608,15 @@ _INCOMPATIBLE = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    mode = "introspect" if args.experiment == "introspect" else "--workers"
-    active = mode == "introspect" or args.workers is not None
-    clash = [flag for flag in _INCOMPATIBLE[mode] if getattr(args, flag[2:])]
-    if active and clash:
-        print(f"error: {mode} cannot be combined with {', '.join(clash)}", file=sys.stderr)
-        return 2
-    if mode == "introspect":
+    modes = [args.experiment] if args.experiment in _INCOMPATIBLE else []
+    if args.workers is not None:
+        modes.append("--workers")
+    for mode in modes:
+        clash = [flag for flag in _INCOMPATIBLE[mode] if getattr(args, flag[2:])]
+        if clash:
+            print(f"error: {mode} cannot be combined with {', '.join(clash)}", file=sys.stderr)
+            return 2
+    if args.experiment == "introspect":
         return _maybe_profile(args, "introspect", lambda: _run_introspect(args))
     workers = None
     if args.workers is not None:

@@ -60,7 +60,7 @@ def _traced_run(body_factory) -> Tracer:
     run_thread(system, owner, core=0, process=proc)
     toucher = body_factory(system, shared)
     # Only the marked->touched flow should appear in the rendering.
-    tracer._samples.clear()
+    tracer.clear()
     run_thread(system, toucher, core=4, process=proc)  # node 1
     return tracer
 

@@ -6,19 +6,27 @@ next-touch cost-breakdown percentages — is produced directly from this
 ledger rather than from a separate model, so the breakdown always
 reflects what the simulated implementation actually did.
 
-Observers subscribe as *sinks*: callables fed every charge as
-``sink(at_us, duration_us, tag)`` after the totals update, where
-``at_us`` is the charge's simulated instant (``None`` means "now").
+Observers subscribe as *sinks*, objects with two entries, each called
+after the totals it reports were updated:
+
+* ``sink.charge(duration_us, tag)`` — one charge :meth:`Ledger.add`
+  booked at the current simulated instant;
+* ``sink.batch(starts_us, durations_us, tags)`` — every charge of one
+  replayed run as three parallel sequences, in the per-charge
+  reference path's order, each at the simulated instant that path
+  books it (:meth:`Ledger.emit_batch`).
+
 The wall-clock fast paths replay multi-charge sequences inline and
-pass each charge's computed instant, so a sink sees exactly the stream
-the per-charge reference path produces and never has to switch the
-fast paths off (a :class:`~repro.sim.trace.Tracer` is one such sink).
+hand each replayed run to the sinks as one batch, so a sink sees
+exactly the stream the per-charge reference path produces and never
+has to switch the fast paths off (a :class:`~repro.sim.trace.Tracer`
+is one such sink).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = ["Ledger"]
 
@@ -29,10 +37,10 @@ class Ledger:
     def __init__(self) -> None:
         self.totals: dict[str, float] = defaultdict(float)
         self.counts: dict[str, int] = defaultdict(int)
-        #: Ordered charge observers, each called as
-        #: ``sink(at_us, duration_us, tag)`` (see the module docstring).
-        #: Run-op replays fold their totals locally and feed the sinks
-        #: charge by charge, so a sink must not read :attr:`totals`.
+        #: Ordered charge observers with ``charge`` and ``batch``
+        #: entries (see the module docstring). A run-op replay writes
+        #: its whole run's totals back before its batch, so a sink must
+        #: not read :attr:`totals`.
         self.sinks: list = []
         #: Optional ``(prefixes, sink)`` installed by the serve turbo
         #: controller (:mod:`repro.apps.servops`): while set, adds whose
@@ -52,17 +60,22 @@ class Ledger:
         self.totals[tag] += duration_us
         self.counts[tag] += 1
         if self.sinks:  # the unobserved hot path pays one test
-            self.emit(None, duration_us, tag)
+            for sink in self.sinks:
+                sink.charge(duration_us, tag)
 
-    def emit(self, at_us: "float | None", duration_us: float, tag: str) -> None:
-        """Feed one charge to the sinks without touching the totals.
+    def emit_batch(
+        self, starts_us: Sequence, durations_us: Sequence, tags: Sequence[str]
+    ) -> None:
+        """Feed one replayed run's charges to the sinks as one batch,
+        without touching the totals.
 
-        :meth:`add` calls it after its totals update. Run-op replays
-        that fold their totals locally call it directly, once per
-        per-page charge, in the reference path's order.
+        Run-op replays that fold their totals locally call it once per
+        replayed run, and only while a sink is attached: the three
+        parallel sequences hold every charge in the reference path's
+        order, each at its simulated instant.
         """
         for sink in self.sinks:
-            sink(at_us, duration_us, tag)
+            sink.batch(starts_us, durations_us, tags)
 
     def begin_defer(self, prefixes: tuple[str, ...], sink) -> None:
         """Route adds matching ``prefixes`` to ``sink`` until

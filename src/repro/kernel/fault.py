@@ -329,17 +329,18 @@ def demand_zero_run(
     stats.acquisitions += run
     stats.hold_time = _typed(total, run > np_page or isinstance(stats.hold_time, np.float64))
     if led.sinks:
-        # Each page's charges at their per-page instants: entry, anon,
-        # alloc, then the access charge at the end of the alloc.
-        at = clock[: 4 * np_page].tolist() + list(clock[4 * np_page :])
-        emit = led.emit
-        for j in range(run):
-            b = 4 * j
-            emit(at[b], entry_us, "fault.entry")
-            emit(at[b + 1], anon_us, "fault.anon")
-            emit(at[b + 2], alloc_us, "fault.alloc")
-            if j < n_acc:
-                emit(at[b + 3], acc, tag)
+        # One batch in page order, each charge at its start on the
+        # clock: entry, anon, alloc, then the access charge at the end
+        # of the alloc, which the last page (or every page, with no
+        # access charge) does not book.
+        starts = clock[: 4 * np_page].tolist() + list(clock[4 * np_page : 4 * run])
+        durations = [entry_us, anon_us, alloc_us, acc] * run
+        names = list(tags) * run
+        if n_acc:
+            del starts[-1], durations[-1], names[-1]
+        else:
+            del starts[3::4], durations[3::4], names[3::4]
+        led.emit_batch(starts, durations, names)
     return run - 1, env.timeout_at(_typed(clock[-1], np_page < run))
 
 

@@ -345,10 +345,10 @@ def migrate_run(
 
 
 def _emit_migrate(led, control_tag, copy_tag, control, before, after, counts, clock_np):
-    """Feed :func:`migrate_run`'s charges to the ledger sinks in the
-    per-chunk path's order, each at its per-chunk instant: control,
-    TLB and alloc at their starts, the copy at its end, then each
-    source's putback at its start. ``control`` holds the control
+    """Hand :func:`migrate_run`'s charges to the ledger sinks as one
+    batch in the per-chunk path's order, each at its per-chunk instant:
+    control, TLB and alloc at their starts, the copy at its end, then
+    each source's putback at its start. ``control`` holds the control
     charges on the clock's (chunk, step) grid; instants and copy
     durations are np.float64 scalars if ``clock_np``, else floats."""
     width = control.shape[1]
@@ -359,17 +359,19 @@ def _emit_migrate(led, control_tag, copy_tag, control, before, after, counts, cl
     ends = scalars(copy_end)
     copy_us = scalars(copy_end - after[:, 2])
     charge_us = control.ravel().tolist()
-    emit = led.emit
+    starts, durations, tags = [], [], []
     for c, row in enumerate(counts.tolist()):
         b = c * width
-        emit(at[b], charge_us[b], control_tag)
-        emit(at[b + 1], charge_us[b + 1], control_tag)
-        emit(at[b + 2], charge_us[b + 2], control_tag)
-        emit(ends[c], copy_us[c], copy_tag)
+        starts += (at[b], at[b + 1], at[b + 2], ends[c])
+        durations += (charge_us[b], charge_us[b + 1], charge_us[b + 2], copy_us[c])
+        tags += (control_tag, control_tag, control_tag, copy_tag)
         for j, count in enumerate(row):
             if count:
                 p = b + 3 + n_src + j
-                emit(at[p], charge_us[p], control_tag)
+                starts.append(at[p])
+                durations.append(charge_us[p])
+                tags.append(control_tag)
+    led.emit_batch(starts, durations, tags)
 
 
 # ----------------------------------------------------------- fault storms ---
@@ -392,11 +394,12 @@ def _replay_storm(kernel: Kernel, vma: Vma, idx: int, ptl_locks, shapes, kinds, 
     written back. Each shape's charges are resolved to their totals'
     slots once per call. Sinks get every charge at the instant the
     reference path books it: a prospective charge at its start, a copy
-    at its end.
+    at its end, all in one batch once the totals are written back.
     """
     led = kernel.ledger
     sinks = led.sinks
-    emit = led.emit
+    batch = []  # the sinks' (start, duration, tag) triples, in order
+    emit = batch.append
     slot = {"fault.entry": 0}
     acc_slot = slot.setdefault(tag, len(slot))
 
@@ -418,13 +421,13 @@ def _replay_storm(kernel: Kernel, vma: Vma, idx: int, ptl_locks, shapes, kinds, 
     for kind, acc_us in zip(kinds, [*acc[:-1], 0.0]):
         locked, copy, unlocked = plan[kind]
         if sinks:
-            emit(t, entry_us, "fault.entry")
+            emit((t, entry_us, "fault.entry"))
         t = t + entry_us
         tot[0] = tot[0] + entry_us
         since = t
         for i, us, name in locked:
             if sinks:
-                emit(t, us, name)
+                emit((t, us, name))
             t = t + us
             tot[i] = tot[i] + us
         if copy is not None:
@@ -437,16 +440,16 @@ def _replay_storm(kernel: Kernel, vma: Vma, idx: int, ptl_locks, shapes, kinds, 
             us = t - t_copy
             tot[i] = tot[i] + us
             if sinks:
-                emit(t, us, name)
+                emit((t, us, name))
         holds.append(t - since)
         for i, us, name in unlocked:
             if sinks:
-                emit(t, us, name)
+                emit((t, us, name))
             t = t + us
             tot[i] = tot[i] + us
         if acc_us > 0:
             if sinks:
-                emit(t, acc_us, tag)
+                emit((t, acc_us, tag))
             t = t + acc_us
             tot[acc_slot] = tot[acc_slot] + acc_us
             n_acc += 1
@@ -465,6 +468,8 @@ def _replay_storm(kernel: Kernel, vma: Vma, idx: int, ptl_locks, shapes, kinds, 
         if adds[i]:
             totals[name] = tot[i]
             counts[name] += adds[i]
+    if sinks:
+        led.emit_batch(*zip(*batch))
     return t
 
 

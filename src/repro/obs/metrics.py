@@ -344,14 +344,12 @@ def publish_ledger(registry: MetricsRegistry, ledger) -> None:
 
 def publish_tracer(registry: MetricsRegistry, tracer) -> None:
     """Tracer health: retained samples, drops, traced span."""
-    samples = tracer.samples
-    registry.gauge("trace.samples").set(len(samples))
+    durations = tracer.durations
+    registry.gauge("trace.samples").set(len(durations))
     registry.counter("trace.dropped").inc(tracer.dropped)
     lo, hi = tracer.span()
     registry.gauge("trace.span_us").set(hi - lo)
-    registry.histogram("trace.sample_duration_us").observe_many(
-        [sample.duration_us for sample in samples]
-    )
+    registry.histogram("trace.sample_duration_us").observe_many(durations)
 
 
 def publish_locks(registry: MetricsRegistry, system) -> None:

@@ -425,6 +425,15 @@ def test_cli_introspect_rejects_flags_it_cannot_honour(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["fig3", "flows", "calibration"])
+def test_cli_text_only_experiments_reject_csv(experiment, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main([experiment, "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{experiment} cannot be combined with --csv" in err
+    assert not out.exists()
+
+
 def test_whatif_machines_structure():
     from repro.experiments import whatif_machines as wm
 

@@ -1,5 +1,6 @@
 """Pins for Ledger.total multi-prefix semantics and Tracer drop accounting."""
 
+import numpy as np
 import pytest
 
 from repro.kernel.accounting import Ledger
@@ -60,15 +61,63 @@ def test_tracer_capacity_one_drop_counts():
     assert [s.tag for s in tracer.samples] == ["c"]
 
 
+def _typed_samples(tracer):
+    """The retained samples with each value's type, for exact diffs."""
+    return [
+        (type(s.start_us), s.start_us, type(s.duration_us), s.duration_us, s.tag)
+        for s in tracer.samples
+    ]
+
+
 @pytest.mark.parametrize("capacity,records", [(3, 3), (3, 4), (3, 10), (7, 20)])
 def test_tracer_drop_count_is_records_minus_capacity(capacity, records):
+    # Floats and np.float64s mixed, as the turbo replays emit them.
+    starts = [np.float64(i) if i % 2 else float(i) for i in range(records)]
+    durations = [1.0 if i % 3 else np.float64(0.5 * i) for i in range(records)]
+    tags = [f"t{i}" for i in range(records)]
     tracer = Tracer(capacity=capacity)
-    for i in range(records):
-        tracer.record(float(i), 1.0, f"t{i}")
+    for record in zip(starts, durations, tags):
+        tracer.record(*record)
     assert tracer.dropped == max(0, records - capacity)
     assert len(tracer.samples) == min(records, capacity)
     # The *newest* samples are the ones retained.
     assert tracer.samples[-1].tag == f"t{records - 1}"
+
+    # The batch entry, in uneven chunks: an empty one, one longer than
+    # the capacity whenever there are that many records, then 1, 2, 1,
+    # ... and a trailing empty one.
+    cuts = [0, 0, min(records, capacity + 1)]
+    step = 1
+    while cuts[-1] < records:
+        cuts.append(min(records, cuts[-1] + step))
+        step = 3 - step
+    cuts.append(records)
+    batched = Tracer(capacity=capacity)
+    for lo, hi in zip(cuts, cuts[1:]):
+        batched.record_batch(starts[lo:hi], durations[lo:hi], tags[lo:hi])
+    assert batched.dropped == tracer.dropped
+    assert _typed_samples(batched) == _typed_samples(tracer)
+    assert batched.span() == tracer.span()
+    assert batched.total() == tracer.total()
+    assert batched.durations == tuple(s.duration_us for s in tracer.samples)
+
+    # clear() forgets the window and the drop count, and the tracer
+    # then counts like a new one.
+    batched.clear()
+    assert batched.dropped == 0
+    assert batched.samples == ()
+    assert batched.span() == (0.0, 0.0)
+    assert batched.total() == 0
+    batched.record_batch(starts, durations, tags)
+    assert batched.dropped == tracer.dropped
+    assert _typed_samples(batched) == _typed_samples(tracer)
+
+
+def test_tracer_batch_rejects_ragged_columns():
+    tracer = Tracer()
+    with pytest.raises(ValueError):
+        tracer.record_batch([0.0, 1.0], [1.0], ["a", "b"])
+    assert tracer.samples == () and tracer.dropped == 0
 
 
 def test_tracer_drop_count_survives_capacity_rebinding():

@@ -205,3 +205,20 @@ def test_publish_tracer_surfaces_drops():
     assert snap["trace.dropped"]["value"] == 3.0
     assert snap["trace.samples"]["value"] == 2.0
     assert snap["trace.sample_duration_us"]["count"] == 2
+
+
+def test_publish_tracer_reads_only_the_retained_window():
+    # Eight samples, sample i at 10*i for i+1 us; capacity 3 keeps the
+    # last three (50..56, 60..67, 70..78) and drops five.
+    tracer = Tracer(capacity=3)
+    tracer.record_batch([0.0, 10.0, 20.0, 30.0], [1.0, 2.0, 3.0, 4.0], ["a"] * 4)
+    for i in range(4, 8):
+        tracer.record(10.0 * i, i + 1.0, "b")
+    reg = MetricsRegistry()
+    publish_tracer(reg, tracer)
+    snap = reg.snapshot()
+    assert snap["trace.samples"]["value"] == 3.0
+    assert snap["trace.dropped"]["value"] == 5.0
+    assert snap["trace.span_us"]["value"] == 78.0 - 50.0
+    hist = snap["trace.sample_duration_us"]
+    assert (hist["count"], hist["sum"], hist["min"], hist["max"]) == (3, 21.0, 6.0, 8.0)
