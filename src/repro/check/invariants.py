@@ -245,16 +245,24 @@ def pte_consistency(view: KernelView) -> list[str]:
     bases = [alloc._base for alloc in allocators]
     bounds = np.searchsorted(frames, [*bases, len(allocators) << NODE_STRIDE_SHIFT]).tolist()
     for alloc, lo, hi in zip(allocators, bounds, bounds[1:]):
+        if lo == hi:
+            continue
         local = frames[lo:hi] - alloc._base
-        if lo < hi and local[-1] >= alloc.capacity:  # sorted: the last is the largest
+        if local[-1] >= alloc.capacity:  # sorted: the last is the largest
             problems += _blame(view, [(
                 np.isin(frame, frames[lo:hi][local >= alloc.capacity]),
                 f"frame beyond node {alloc.node_id} capacity",
             )])
             local = local[local < alloc.capacity]
-        if not alloc._allocated[local].all():
+        # The bitmap ends at or past the bump pointer: an index beyond
+        # its end was never handed out, so it counts as freed. Sorted,
+        # such indices are a tail.
+        covered = local[: np.searchsorted(local, alloc._allocated.size)]
+        held = alloc._allocated[covered]
+        if covered.size < local.size or not held.all():
+            freed = np.concatenate((covered[~held], local[covered.size :]))
             problems += _blame(view, [(
-                np.isin(frame, local[~alloc._allocated[local]] + alloc._base),
+                np.isin(frame, freed + alloc._base),
                 f"PTE points at a freed frame (node {alloc.node_id})",
             )])
     return problems

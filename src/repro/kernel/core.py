@@ -248,8 +248,8 @@ class Kernel:
             if frames.size == 0:
                 return
         owners = node_of_frame(frames)
-        for node in np.unique(owners):
-            self.allocators[int(node)].free_many(frames[owners == node])
+        for node in np.flatnonzero(np.bincount(owners)).tolist():
+            self.allocators[node].free_many(frames[owners == node])
         if self.track_contents:
             for f in frames:
                 self.page_data.pop(int(f), None)

@@ -12,6 +12,7 @@ from repro.check import (
     check_kernel,
     check_system,
 )
+from repro.kernel.frames import NODE_STRIDE_SHIFT, node_of_frame
 from repro.kernel.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
 from repro.kernel.vma import PROT_READ, PROT_RW
 from repro.util.units import PAGE_SIZE
@@ -87,6 +88,40 @@ def test_pte_consistency_detects_stale_node_cache(system):
     vma = system.kernel.processes[0].addr_space.vmas[0]
     vma.pt.node[0] = (int(vma.pt.node[0]) + 1) % system.kernel.machine.num_nodes
     assert fired(system.kernel, "pte_consistency")
+
+
+def _freed_frame(kernel):
+    frames = kernel.alloc_on(0, 1)
+    kernel.release_frames(frames)
+    return int(frames[0])
+
+
+@pytest.mark.parametrize(
+    "pick, message",
+    [
+        (_freed_frame, "PTE points at a freed frame (node 0)"),
+        # In range but never handed out: past the bump pointer, and
+        # past the end of the allocation bitmap.
+        (
+            lambda k: k.allocators[0]._base + k.allocators[0].capacity - 1,
+            "PTE points at a freed frame (node 0)",
+        ),
+        (
+            lambda k: k.allocators[0]._base + k.allocators[0].capacity,
+            "frame beyond node 0 capacity",
+        ),
+        (lambda k: len(k.allocators) << NODE_STRIDE_SHIFT, "frame id outside any node's range"),
+    ],
+    ids=["freed", "past-bump", "past-capacity", "past-last-node"],
+)
+def test_pte_consistency_detects_bad_frame(system, pick, message):
+    populated_system(system)
+    frame = pick(system.kernel)
+    vma = system.kernel.processes[0].addr_space.vmas[0]
+    vma.pt.frame[0] = frame
+    vma.pt.node[0] = node_of_frame(frame)  # the node cache stays in step
+    found = fired(system.kernel, "pte_consistency")
+    assert message in {v.message.split(": ", 1)[1] for v in found}
 
 
 def test_frame_refcounts_detects_leaked_reference(system):

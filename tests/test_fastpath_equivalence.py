@@ -100,7 +100,7 @@ def canonical(ex: OpExecutor) -> dict:
         "interleave_hit": list(k.numastat.interleave_hit),
         "frame_refs": dict(k.frame_refs),
         "allocators": [
-            (a.used, a.free, a.total_allocs, a._bump, list(a._free))
+            (a.used, a.free, a.total_allocs, a._bump, a._free[: a._nfree].tolist())
             for a in k.allocators
         ],
         "lru": [_lock_stats(lock.stats) for lock in k.lru_locks],

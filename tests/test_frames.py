@@ -118,7 +118,7 @@ def _scrambled(seed: int, pages: int = 256) -> FrameAllocator:
 
 def _state(fa: FrameAllocator) -> tuple:
     return (
-        list(fa._free),
+        fa._free[: fa._nfree].tolist(),
         fa._bump,
         fa.total_allocs,
         fa.total_frees,
@@ -160,3 +160,71 @@ def test_alloc_seq_matches_single_allocs(count):
     want = [single.alloc() for _ in range(count)]
     assert got.tolist() == want
     assert _state(seq) == _state(single)
+
+
+def _array_bytes(fa: FrameAllocator) -> int:
+    return sum(v.nbytes for v in vars(fa).values() if isinstance(v, np.ndarray))
+
+
+def test_state_is_sized_by_frames_handed_out():
+    """An 8 GiB node (2 Mi frames) holds arrays for the frames it has
+    handed out, not for its memory."""
+    fa = FrameAllocator(0, 8 << 30)
+    assert _array_bytes(fa) < 64 * 1024
+    fa.free_many(fa.alloc_many(1000))
+    assert _array_bytes(fa) < 64 * 1024
+
+
+def test_bitmap_marks_exactly_the_handed_out_frames():
+    """After every allocation and free, the bitmap's set bits are the
+    frames held, including across the bitmap's growth."""
+    fa = make(node=1, pages=4096)
+    held: set[int] = set()
+
+    def check():
+        assert (np.flatnonzero(fa._allocated) + fa._base).tolist() == sorted(held)
+
+    held.add(fa.alloc())
+    check()
+    held.update(fa.alloc_many(1500).tolist())  # past the first bitmap size
+    check()
+    back = np.array(sorted(held)[::3])
+    fa.free_many(back)
+    held.difference_update(back.tolist())
+    check()
+    held.update(fa.alloc_seq(700).tolist())  # the whole free stack, then bump
+    check()
+    held.update(fa.alloc_chunked(900, 7).tolist())
+    check()
+    fa.free_many(np.array(sorted(held)))
+    held.clear()
+    check()
+
+
+@pytest.mark.parametrize("pages", [64, 4096])
+def test_free_of_never_handed_out_frame_is_a_double_free(pages):
+    """A frame inside the node but past the bump pointer (and, on the
+    larger node, past the bitmap's end) was never handed out."""
+    fa = make(pages=pages)
+    with pytest.raises(SimulationError, match="double free"):
+        fa.free_frame(fa._base)  # nothing handed out yet
+    frames = fa.alloc_many(4)
+    for frame in (fa._base + 4, fa._base + pages - 1):
+        with pytest.raises(SimulationError, match="double free"):
+            fa.free_frame(frame)
+    with pytest.raises(SimulationError, match="double free"):
+        fa.free_many(np.array([frames[0], fa._base + pages - 1]))
+    assert fa.used == 4
+
+
+@pytest.mark.parametrize("order", [[0, 0], [1, 0, 2, 0], [3, 2, 1, 0, 3]])
+def test_batch_listing_a_frame_twice_is_a_double_free(order):
+    """Rejected before anything changes: otherwise the frame lands on
+    the free stack twice and two later allocations share it."""
+    fa = make()
+    frames = fa.alloc_many(4)
+    before = _state(fa)
+    with pytest.raises(SimulationError, match="double free"):
+        fa.free_many(frames[order])
+    assert _state(fa) == before
+    assert fa.used == 4

@@ -49,6 +49,69 @@ def test_frame_allocator_conserves_frames(ops):
     assert fa.used == 0
 
 
+class _ListPool:
+    """The reference pool: a Python list of free local indices and a
+    bump pointer. ``pop`` is one ``alloc``; ``take`` is one
+    ``alloc_many``, the list's tail in list order; frees append."""
+
+    def __init__(self) -> None:
+        self.free: list[int] = []
+        self.bump = 0
+
+    def pop(self) -> int:
+        if self.free:
+            return self.free.pop()
+        self.bump += 1
+        return self.bump - 1
+
+    def take(self, count: int) -> list[int]:
+        k = min(count, len(self.free))
+        tail = self.free[len(self.free) - k :]
+        del self.free[len(self.free) - k :]
+        self.bump += count - k
+        return tail + list(range(self.bump - (count - k), self.bump))
+
+
+@_SETTINGS
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["alloc", "many", "seq", "chunked", "free"]),
+            st.integers(min_value=1, max_value=40),
+        ),
+        max_size=40,
+    )
+)
+def test_frame_allocator_matches_list_pool(ops):
+    """Every allocation returns the ids the list-based pool hands out,
+    in the same order, and the free stack ends equal to the list."""
+    fa, ref = FrameAllocator(1, 256 * PAGE_SIZE), _ListPool()
+    live: list[int] = []
+    for kind, count in ops:
+        if kind == "free":
+            batch, live = live[:count], live[count:]
+            batch = batch[::-1] if count % 2 else batch
+            fa.free_many(np.asarray(batch, dtype=np.int64) + fa._base)
+            ref.free.extend(batch)
+            continue
+        if fa.free < count:
+            continue
+        if kind == "alloc":
+            got, want = [fa.alloc()], [ref.pop()]
+        elif kind == "many":
+            got, want = fa.alloc_many(count).tolist(), ref.take(count)
+        elif kind == "seq":
+            got, want = fa.alloc_seq(count).tolist(), [ref.pop() for _ in range(count)]
+        else:
+            chunk = 1 + count % 7
+            got = fa.alloc_chunked(count, chunk).tolist()
+            want = [f for lo in range(0, count, chunk) for f in ref.take(min(chunk, count - lo))]
+        assert [f - fa._base for f in got] == want
+        live += want
+    assert fa._free[: fa._nfree].tolist() == ref.free
+    assert fa._bump == ref.bump
+
+
 # ------------------------------------------------------------ page table ----
 @_SETTINGS
 @given(
