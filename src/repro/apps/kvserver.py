@@ -234,11 +234,9 @@ class SloGate:
         self.slo_us = float(slo_us)
         self.recover_fraction = float(recover_fraction)
         self._window: deque[float] = deque(maxlen=window)
-        #: sorted mirror of ``_window`` — materialized by the first
-        #: :meth:`observe_batch` and kept in lockstep by both feed
-        #: paths from then on; stays ``None`` (and costs nothing) in
-        #: runs that only ever call :meth:`observe`
-        self._svals: Optional[list[float]] = None
+        #: sorted mirror of ``_window``, kept in lockstep by both feed
+        #: paths (one eviction + one insertion per sample)
+        self._svals: list[float] = []
         self.at_risk = False
         self.breaches = 0
         self.recoveries = 0
@@ -247,9 +245,7 @@ class SloGate:
 
     def rolling_p99(self) -> Optional[float]:
         """The window's p99, or ``None`` while the window is too small."""
-        if self._svals is not None:
-            return _quantile(self._svals, 0.99)
-        return _quantile(sorted(self._window), 0.99)
+        return _quantile(self._svals, 0.99)
 
     def observe(self, latency_us: float, now_us: float = 0.0) -> Optional[str]:
         """Feed one latency; returns ``"breach"``/``"recover"`` on a
@@ -257,11 +253,10 @@ class SloGate:
         latency_us = float(latency_us)
         window = self._window
         svals = self._svals
-        if svals is not None and len(window) == window.maxlen:
+        if len(window) == window.maxlen:
             del svals[bisect_left(svals, window[0])]
         window.append(latency_us)
-        if svals is not None:
-            insort(svals, latency_us)
+        insort(svals, latency_us)
         p99 = self.rolling_p99()
         if p99 is None:
             return None
@@ -280,10 +275,8 @@ class SloGate:
     def observe_batch(self, latencies: Sequence[float], times: Sequence[float]) -> None:
         """Feed many latencies with their completion times.
 
-        Bit-identical to calling :meth:`observe` once per pair, but the
-        rolling window's sorted view is maintained incrementally (one
-        eviction + one insertion per sample) instead of re-sorting 256
-        floats per request — this is where the serve turbo path
+        Bit-identical to calling :meth:`observe` once per pair, with
+        the p99 arithmetic inlined — this is where the serve turbo path
         (:mod:`repro.apps.servops`) spends its gate budget. Transitions
         land in :attr:`transitions` exactly as the scalar path records
         them; the return value (unneeded in batch: tracepoints are
@@ -292,8 +285,6 @@ class SloGate:
         window = self._window
         maxlen = window.maxlen
         svals = self._svals
-        if svals is None:
-            svals = self._svals = sorted(window)
         slo = self.slo_us
         recover_at = self.slo_us * self.recover_fraction
         transitions = self.transitions

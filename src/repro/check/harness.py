@@ -373,13 +373,12 @@ class DiffHarness:
             pages: dict[int, tuple] = {}
             for vma in proc.addr_space.vmas:
                 base = vma.start >> PAGE_SHIFT
-                swap = getattr(vma.pt, "_swap_slots", None)
-                for i in range(vma.npages):
+                pt = vma.pt
+                ptes = zip(pt.frame.tolist(), pt.node.tolist(), pt.flags.tolist(), pt.swap.tolist())
+                for i, (frame, node, flags, slot) in enumerate(ptes):
                     vpn = base + i
                     layout[vpn] = (int(vma.prot), bool(vma.shared))
-                    frame = int(vma.pt.frame[i])
-                    flags = int(vma.pt.flags[i])
-                    swapped = swap is not None and int(swap[i]) >= 0
+                    swapped = slot >= 0
                     present = bool(flags & PTE_PRESENT)
                     write = bool(flags & PTE_WRITE)
                     nt = bool(flags & PTE_NEXTTOUCH)
@@ -387,7 +386,7 @@ class DiffHarness:
                     if frame < 0 and not swapped and not (present or write or nt or cow):
                         continue
                     pages[vpn] = (
-                        int(vma.pt.node[i]) if frame >= 0 else -1,
+                        node if frame >= 0 else -1,
                         present,
                         write,
                         nt,
@@ -396,8 +395,7 @@ class DiffHarness:
                         self.kernel.frame_refs.get(frame, 1) if frame >= 0 else 0,
                     )
             out["procs"][pid] = {"layout": layout, "pages": pages}
-        device = getattr(self.kernel, "swap", None)
-        out["swap_used"] = device.used if device is not None else 0
+        out["swap_used"] = self.kernel.swap.used
         out["numa_hit"] = list(self.kernel.numastat.numa_hit)
         return out
 

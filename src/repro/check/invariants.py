@@ -19,7 +19,7 @@ The invariant names are part of the documented contract
 the two stay in sync):
 
 * ``vma_layout`` — VMA lists sorted, non-overlapping, aligned, index
-  arrays in sync;
+  arrays in sync, swap columns sized right;
 * ``pte_consistency`` — PTE flag algebra (PRESENT needs a frame, WRITE
   needs PRESENT, NEXTTOUCH excludes PRESENT), the node cache matches
   the frame's owning node, and no PTE points at a freed frame;
@@ -99,9 +99,8 @@ class KernelView:
     """One read of every page table, shared by the checkers of a sweep.
 
     ``frame``, ``node``, ``flags`` and ``swap`` are the PTE columns of
-    every ``(proc, vma)`` concatenated in walk order (``swap`` is -1
-    where a VMA has no swap table); ``private`` marks the pages of
-    private VMAs. VMA ``i`` (a *segment*) starts at page
+    every ``(proc, vma)`` concatenated in walk order; ``private`` marks
+    the pages of private VMAs. VMA ``i`` (a *segment*) starts at page
     ``offsets[i]``. Checkers that need no page data read ``kernel``.
     """
 
@@ -116,11 +115,9 @@ class KernelView:
         self.flags = _cat([pt.flags for pt in pts], np.uint16)
         shared = np.array([vma.shared for _proc, vma in self._vmas], dtype=bool)
         self.private = ~np.repeat(shared, sizes)
-        self.swap = np.full(self.frame.size, -1, dtype=np.int64)
-        for pt, start, size in zip(pts, self.offsets, sizes):
-            table = getattr(pt, "_swap_slots", None)
-            if table is not None and table.size == size:  # vma_layout flags a mismatch
-                self.swap[start : start + size] = table
+        # A mis-sized swap column (vma_layout reports it) reads as off swap.
+        swaps = [pt.swap if pt.swap.size == n else np.full(n, -1) for pt, n in zip(pts, sizes)]
+        self.swap = _cat(swaps, np.int64)
 
     # ------------------------------------------------------------ segments --
     def offenders(self, mask: np.ndarray) -> list[int]:
@@ -210,9 +207,8 @@ def vma_layout(view: KernelView) -> list[str]:
                 problems.append(f"{proc.name}: misaligned VMA start 0x{vma.start:x}")
             if vma.pt.npages != vma.npages or vma.pt.npages < 1:
                 problems.append(f"{proc.name}: page table size mismatch in {vma!r}")
-            swap = getattr(vma.pt, "_swap_slots", None)
-            if swap is not None and swap.size != vma.pt.npages:
-                problems.append(f"{proc.name}: swap-slot table size mismatch in {vma!r}")
+            if vma.pt.swap.size != vma.pt.npages:
+                problems.append(f"{proc.name}: swap column size mismatch in {vma!r}")
     return problems
 
 
@@ -380,7 +376,7 @@ def ledger_consistency(view: KernelView) -> list[str]:
 @_invariant
 def swap_consistency(view: KernelView) -> list[str]:
     """Swap slots unique, only on frame-less pages, device count right."""
-    device = getattr(view.kernel, "swap", None)
+    device = view.kernel.swap
     slots, counts = np.unique(view.swap[view.swap >= 0], return_counts=True)
     dup = counts > 1
     problems = [

@@ -20,14 +20,12 @@ from ..kernel.core import Kernel
 
 __all__ = ["enable_shared_next_touch", "shared_next_touch_enabled"]
 
-_FLAG = "_ext_shared_nt"
-
 
 def enable_shared_next_touch(kernel: Kernel) -> None:
     """Allow ``MADV_NEXTTOUCH`` on shared anonymous mappings."""
-    setattr(kernel, _FLAG, True)
+    kernel.shared_next_touch = True
 
 
 def shared_next_touch_enabled(kernel: Kernel) -> bool:
     """Whether the extension is active on this kernel."""
-    return bool(getattr(kernel, _FLAG, False))
+    return kernel.shared_next_touch

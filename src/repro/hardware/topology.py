@@ -70,6 +70,8 @@ class Machine:
         if [c.id for c in cores] != list(range(len(cores))):
             raise ConfigurationError("core ids must be dense 0..N-1")
         self.cores: tuple[Core, ...] = tuple(cores)
+        #: src node -> :meth:`numa_factor_row`, filled on first use
+        self._factor_rows: dict[int, tuple[float, ...]] = {}
 
     # ------------------------------------------------------------ queries --
     @property
@@ -107,12 +109,9 @@ class Machine:
         against this row on every touch, so the row is computed once
         per source node per machine instance.
         """
-        cache = getattr(self, "_factor_rows", None)
-        if cache is None:
-            cache = self._factor_rows = {}
-        row = cache.get(src_node)
+        row = self._factor_rows.get(src_node)
         if row is None:
-            row = cache[src_node] = tuple(
+            row = self._factor_rows[src_node] = tuple(
                 self.numa_factor(src_node, dst) for dst in range(self.num_nodes)
             )
         return row

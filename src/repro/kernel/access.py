@@ -146,22 +146,18 @@ def touch_range(
         # First page needs a fault. Batch consecutive next-touch or
         # consecutive unpopulated (first-touch) pages; swapped pages
         # take the precise per-page path (they need disk I/O anyway).
-        swap_table = getattr(pt, "_swap_slots", None)
         nt0 = bool(first & PTE_NEXTTOUCH)
-        unpop0 = (
-            not nt0
-            and int(pt.frame[idx]) < 0
-            and (swap_table is None or int(swap_table[idx]) < 0)
-        )
+        unpop0 = not nt0 and int(pt.frame[idx]) < 0 and int(pt.swap[idx]) < 0
 
         def _marked(lo: int, hi: int) -> np.ndarray:
             return (pt.flags[lo:hi] & PTE_NEXTTOUCH) != 0
 
         def _fresh(lo: int, hi: int) -> np.ndarray:
-            m = (pt.frame[lo:hi] < 0) & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
-            if swap_table is not None:
-                m &= swap_table[lo:hi] < 0
-            return m
+            return (
+                (pt.frame[lo:hi] < 0)
+                & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
+                & (pt.swap[lo:hi] < 0)
+            )
 
         if batch > 1 and nt0:
             run = _run_scan(idx, stop, batch, _marked)
@@ -171,7 +167,7 @@ def touch_range(
         elif batch > 1 and unpop0:
             run = _run_scan(idx, stop, batch, _fresh)
             idx_run = np.arange(idx, idx + run, dtype=np.int64)
-            if getattr(vma, "_file", None) is not None:
+            if vma.file is not None:
                 from .files import file_fault_batch
 
                 yield from file_fault_batch(kernel, thread, vma, idx_run)
@@ -192,20 +188,16 @@ def touch_range(
                     # Next-touch storm: migrate the run to this node.
                     run = _run_scan(idx, stop, span, _marked)
                     turbo = nt_fault_run(kernel, thread, vma, idx, run, bpp, tag)
-                elif unpop0 and getattr(vma, "_file", None) is None:
+                elif unpop0 and vma.file is None:
                     run = _run_scan(idx, stop, span, _fresh)
                     turbo = demand_zero_run(kernel, thread, vma, idx, run, bpp, tag)
-                elif (
-                    int(pt.frame[idx]) < 0
-                    and swap_table is not None
-                    and int(swap_table[idx]) >= 0
-                ):
+                elif int(pt.frame[idx]) < 0 and int(pt.swap[idx]) >= 0:
                     # Swap-in storm: each page pays the device round-trip.
 
                     def _swapped(lo: int, hi: int) -> np.ndarray:
                         return (
                             (pt.frame[lo:hi] < 0)
-                            & (swap_table[lo:hi] >= 0)
+                            & (pt.swap[lo:hi] >= 0)
                             & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
                         )
 
@@ -214,18 +206,14 @@ def touch_range(
                 elif (
                     write
                     and (first & (PTE_PRESENT | PTE_COW)) == (PTE_PRESENT | PTE_COW)
-                    and getattr(vma, "_file", None) is None
+                    and vma.file is None
                 ):
                     # Write storm over COW pages after a fork: break the
                     # whole run in one replay (reuse or copy per page).
 
                     def _cow(lo: int, hi: int) -> np.ndarray:
-                        m = (pt.flags[lo:hi] & (PTE_PRESENT | PTE_COW)) == (
-                            PTE_PRESENT | PTE_COW
-                        )
-                        if swap_table is not None:
-                            m &= swap_table[lo:hi] < 0
-                        return m
+                        cow = PTE_PRESENT | PTE_COW
+                        return ((pt.flags[lo:hi] & cow) == cow) & (pt.swap[lo:hi] < 0)
 
                     run = _run_scan(idx, stop, span, _cow)
                     turbo = cow_break_run(kernel, thread, vma, idx, run, bpp, tag)
@@ -282,18 +270,16 @@ def touch_pages(
     if not ((flags & need_bits) == need_bits).all():
         nt_sel = (flags & PTE_NEXTTOUCH) != 0
         unpop_sel = (vma.pt.frame[idxs] < 0) & ~nt_sel
-        swap_table = getattr(vma.pt, "_swap_slots", None)
-        if swap_table is not None:
-            swapped_sel = unpop_sel & (swap_table[idxs] >= 0)
-            unpop_sel &= ~swapped_sel
-            if swapped_sel.any():
-                from .swap import swap_in_batch
+        swapped_sel = unpop_sel & (vma.pt.swap[idxs] >= 0)
+        unpop_sel &= ~swapped_sel
+        if swapped_sel.any():
+            from .swap import swap_in_batch
 
-                pending = idxs[swapped_sel]
-                for lo in range(0, pending.size, batch):
-                    yield from swap_in_batch(kernel, thread, vma, pending[lo : lo + batch])
+            pending = idxs[swapped_sel]
+            for lo in range(0, pending.size, batch):
+                yield from swap_in_batch(kernel, thread, vma, pending[lo : lo + batch])
         unpop_fault = demand_zero_batch
-        if getattr(vma, "_file", None) is not None:
+        if vma.file is not None:
             from .files import file_fault_batch
 
             unpop_fault = file_fault_batch

@@ -131,16 +131,12 @@ class AddressSpace:
         leaking them fills the device until swap-outs fail with ENOMEM.
         Returns slots released.
         """
-        table = getattr(vma.pt, "_swap_slots", None)
-        if table is None:
-            return 0
-        slots = table[table >= 0]
+        on_swap = vma.pt.swap >= 0
+        slots = vma.pt.swap[on_swap]
         if slots.size == 0:
             return 0
-        device = getattr(self.kernel, "swap", None)
-        if device is not None:
-            device.free_slots(slots)
-        table[table >= 0] = -1
+        self.kernel.swap.free_slots(slots)
+        vma.pt.set_swap(on_swap, -1)
         return int(slots.size)
 
     # ------------------------------------------------------ range surgery ---
@@ -203,7 +199,7 @@ class AddressSpace:
             while i > 0:
                 prev = self._vmas[i - 1]
                 if prev.end == self._vmas[i].start and prev.compatible(self._vmas[i]):
-                    self._vmas[i - 1] = self._concat(prev, self._vmas[i])
+                    self._vmas[i - 1] = prev.merge(self._vmas[i])
                     del self._vmas[i]
                     del self._starts[i]
                     i -= 1
@@ -213,44 +209,11 @@ class AddressSpace:
             while i + 1 < len(self._vmas):
                 nxt = self._vmas[i + 1]
                 if self._vmas[i].end == nxt.start and self._vmas[i].compatible(nxt):
-                    self._vmas[i] = self._concat(self._vmas[i], nxt)
+                    self._vmas[i] = self._vmas[i].merge(nxt)
                     del self._vmas[i + 1]
                     del self._starts[i + 1]
                 else:
                     break
-
-    @staticmethod
-    def _concat(a: Vma, b: Vma) -> Vma:
-        merged = Vma(
-            a.start,
-            a.npages + b.npages,
-            a.prot,
-            shared=a.shared,
-            anonymous=a.anonymous,
-            policy=a.policy,
-            name=a.name,
-            anon_vma=a.anon_vma,
-        )
-        merged.huge = a.huge
-        merged._file = a._file
-        merged.mlocked = a.mlocked
-        merged.pt.frame[: a.npages] = a.pt.frame
-        merged.pt.node[: a.npages] = a.pt.node
-        merged.pt.flags[: a.npages] = a.pt.flags
-        merged.pt.frame[a.npages :] = b.pt.frame
-        merged.pt.node[a.npages :] = b.pt.node
-        merged.pt.flags[a.npages :] = b.pt.flags
-        # Optional extension state (swap slots) survives the merge.
-        a_swap = getattr(a.pt, "_swap_slots", None)
-        b_swap = getattr(b.pt, "_swap_slots", None)
-        if a_swap is not None or b_swap is not None:
-            merged_swap = np.full(merged.pt.npages, -1, dtype=np.int64)
-            if a_swap is not None:
-                merged_swap[: a.npages] = a_swap
-            if b_swap is not None:
-                merged_swap[a.npages :] = b_swap
-            merged.pt._swap_slots = merged_swap  # type: ignore[attr-defined]
-        return merged
 
     # ---------------------------------------------------- state operations --
     def apply_protection(self, addr: int, nbytes: int, prot: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +30,10 @@ from .accounting import Ledger
 from .addrspace import AddressSpace
 from .frames import FrameAllocator, node_of_frame
 from .mempolicy import MemPolicy, candidate_nodes
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sched.cpuset import CpuSet
+    from .swap import SwapDevice
 
 __all__ = ["Kernel", "SimProcess", "KernelStats", "SIGSEGV"]
 
@@ -112,6 +116,11 @@ class Kernel:
         #: this kernel (their page caches hold frame references that the
         #: invariant checkers must account for).
         self.files: list = []
+        #: The swap device (:func:`repro.kernel.swap.attach_swap`), if any.
+        self.swap: Optional["SwapDevice"] = None
+        #: ``MADV_NEXTTOUCH`` accepted on shared anonymous mappings
+        #: (:func:`repro.ext.shared_nt.enable_shared_next_touch`).
+        self.shared_next_touch = False
         self._next_pid = 1
         self.processes: list[SimProcess] = []
         #: Wall-clock fast paths (the run-op replays) are on by
@@ -247,9 +256,15 @@ class Kernel:
             frames = frames[~keep]
             if frames.size == 0:
                 return
-        owners = node_of_frame(frames)
-        for node in np.flatnonzero(np.bincount(owners)).tolist():
-            self.allocators[node].free_many(frames[owners == node])
+        # A node's frames form one id range, so a batch whose lowest and
+        # highest frames share an owner belongs to that node whole.
+        lo = node_of_frame(int(frames.min()))
+        if lo == node_of_frame(int(frames.max())):
+            self.allocators[lo].free_many(frames)
+        else:
+            owners = node_of_frame(frames)
+            for node in np.flatnonzero(np.bincount(owners)).tolist():
+                self.allocators[node].free_many(frames[owners == node])
         if self.track_contents:
             for f in frames:
                 self.page_data.pop(int(f), None)
@@ -386,6 +401,8 @@ class SimProcess:
         self.allowed_mems: Optional[tuple[int, ...]] = None
         #: cpuset confinement: cores threads may run on (None = all).
         self.allowed_cores: Optional[tuple[int, ...]] = None
+        #: The cpuset confining the process (:mod:`repro.sched.cpuset`).
+        self.cpuset: Optional["CpuSet"] = None
         #: ``mmap_sem``: shared for fault/move_pages walks, exclusive
         #: for mapping changes.
         self.mmap_sem = RwLock(kernel.env, name=f"mmap_sem:{name}")

@@ -124,15 +124,14 @@ def _handle_fault_locked(kernel: Kernel, thread: "SimThread", addr: int, write: 
             return
         vma, idx = resolved
         flags = int(vma.pt.flags[idx])
-        swap_table = getattr(vma.pt, "_swap_slots", None)
         if flags & PTE_NEXTTOUCH:
             yield from nt_fault_batch(kernel, thread, vma, np.asarray([idx]), entry_charged=True)
-        elif swap_table is not None and swap_table[idx] >= 0:
+        elif vma.pt.swap[idx] >= 0:
             from .swap import swap_in_batch
 
             yield from swap_in_batch(kernel, thread, vma, np.asarray([idx]))
         elif vma.pt.frame[idx] < 0:
-            if getattr(vma, "_file", None) is not None:
+            if vma.file is not None:
                 from .files import file_fault_batch
 
                 yield from file_fault_batch(kernel, thread, vma, np.asarray([idx]))

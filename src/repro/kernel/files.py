@@ -24,7 +24,7 @@ real device time on cache misses and nothing on hits.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -154,7 +154,7 @@ def mmap_file(
             file.nbytes, prot, shared=shared, name=name or f"file:{file.name}"
         )
         vma.anonymous = False
-        vma._file = file  # type: ignore[attr-defined]
+        vma.file = file
     finally:
         process.mmap_sem.release_write()
     return vma.start
@@ -166,9 +166,7 @@ def file_fault_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nda
     Shared mappings reference the cache frame; private mappings map it
     read-only with the COW flag, deferring the copy to the first write.
     """
-    file: Optional[SimFile] = getattr(vma, "_file", None)
-    if file is None:
-        raise SimulationError("file fault on a VMA without backing file")
+    file = vma.file
     process = thread.process
     ptl = process.ptl(vma.start, int(idxs[0]))
     yield ptl.acquire()

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs import tracepoints
+from ..sim.resources import Mutex
 from ..util.units import PAGE_SIZE
 from .core import Kernel, SimProcess
 from .pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
@@ -36,10 +37,10 @@ __all__ = ["sys_fork", "cow_fault"]
 def sys_fork(kernel: Kernel, thread: "SimThread"):
     """Fork the calling process; returns the child :class:`SimProcess`.
 
-    The child gets identical VMAs at identical addresses. Private
-    writable pages become COW in both processes; frames are shared and
-    reference-counted. The parent's TLBs are flushed (write bits were
-    just revoked).
+    The child gets identical VMAs at identical addresses, backing files
+    included. Private writable pages become COW in both processes;
+    frames are shared and reference-counted. The parent's TLBs are
+    flushed (write bits were just revoked).
     """
     parent = thread.process
     child = kernel.create_process(f"{parent.name}-child", parent.default_policy)
@@ -47,27 +48,15 @@ def sys_fork(kernel: Kernel, thread: "SimThread"):
     try:
         copied_ptes = 0
         for vma in parent.addr_space.vmas:
-            clone = Vma(
-                vma.start,
-                vma.npages,
-                vma.prot,
-                shared=vma.shared,
-                anonymous=vma.anonymous,
-                policy=vma.policy,
-                name=vma.name,
-                anon_vma=None,
-            )
-            from ..sim.resources import Mutex
-
+            # The child shares everything but the rmap lock; memory
+            # locks are not inherited, and swap linkage is not copied.
+            clone = vma.like(vma.start, vma.pt.fork_copy())
             clone.anon_vma = Mutex(
                 kernel.env,
                 name=f"anon_vma:{child.name}:{vma.name or hex(vma.start)}",
                 handoff_us=kernel.cost.lock_handoff_us,
             )
-            clone.huge = vma.huge
-            clone.pt.frame[:] = vma.pt.frame
-            clone.pt.node[:] = vma.pt.node
-            clone.pt.flags[:] = vma.pt.flags
+            clone.mlocked = False
             populated = vma.pt.frame >= 0
             if populated.any():
                 kernel.ref_frames(vma.pt.frame[populated])

@@ -1,17 +1,24 @@
 """Page-table entries, stored struct-of-arrays per VMA.
 
-A PTE in this model carries:
+A PTE in this model carries four columns:
 
 * ``frame`` — physical frame id, or -1 when no frame is attached;
 * ``node``  — owning NUMA node of the frame (cached for vectorized
   locality queries), -1 when no frame;
 * ``flags`` — a bitfield (:data:`PTE_PRESENT`, :data:`PTE_WRITE`,
-  :data:`PTE_NEXTTOUCH`, ...).
+  :data:`PTE_NEXTTOUCH`, ...);
+* ``swap``  — the swap slot of a page written out by
+  :mod:`repro.kernel.swap`, -1 when the page is not on swap. Until
+  :meth:`PageTable.set_swap` first stores a slot, the column is a
+  read-only zero-stride view of -1 that holds no storage, so the
+  tables of runs that never swap cost nothing for it.
 
-Keeping the three fields as NumPy arrays lets ``mprotect``/``madvise``
+Keeping the fields as NumPy arrays lets ``mprotect``/``madvise``
 sweeps, locality histograms and batched fault classification run
 vectorized, which is what makes simulating multi-gigabyte address
-spaces tractable.
+spaces tractable. :meth:`PageTable.split`, :meth:`PageTable.concat`
+and :meth:`PageTable.fork_copy` are the only code that copies the
+columns, so a new column is added here and nowhere else.
 
 Note the distinction the next-touch mechanisms rely on: a page can have
 a frame attached while *not* being ``PRESENT`` — that is exactly the
@@ -48,11 +55,26 @@ PTE_DIRTY: int = 1 << 4
 #: Copy-on-write: the frame is shared; the first write must copy.
 PTE_COW: int = 1 << 5
 
+_NO_SLOT = np.int64(-1)
+
+
+def _off_swap(npages: int) -> np.ndarray:
+    """A swap column of ``npages`` pages none of which is on swap,
+    holding no storage (read-only, zero stride)."""
+    return np.broadcast_to(_NO_SLOT, (npages,))
+
+
+def _part(column: np.ndarray, idx: slice) -> np.ndarray:
+    """An independent copy of ``column[idx]``; a storage-free column
+    stays storage-free."""
+    part = column[idx]
+    return part if column.strides == (0,) else part.copy()
+
 
 class PageTable:
     """PTE arrays for one VMA of ``npages`` pages."""
 
-    __slots__ = ("frame", "node", "flags", "_swap_slots")
+    __slots__ = ("frame", "node", "flags", "swap")
 
     def __init__(self, npages: int) -> None:
         if npages < 1:
@@ -60,6 +82,14 @@ class PageTable:
         self.frame = np.full(npages, -1, dtype=np.int64)
         self.node = np.full(npages, -1, dtype=np.int16)
         self.flags = np.zeros(npages, dtype=np.uint16)
+        self.swap = _off_swap(npages)
+
+    @classmethod
+    def _of(cls, frame, node, flags, swap) -> "PageTable":
+        """A table over the given columns (no copies made)."""
+        pt = cls.__new__(cls)
+        pt.frame, pt.node, pt.flags, pt.swap = frame, node, flags, swap
+        return pt
 
     # ------------------------------------------------------------ queries --
     @property
@@ -167,25 +197,46 @@ class PageTable:
             )
         self.flags[idx] = np.where(populated, restored, sub & np.uint16(~PTE_NEXTTOUCH & 0xFFFF))
 
-    # ------------------------------------------------------------ split ----
+    def set_swap(self, idx, slots) -> None:
+        """Store swap slots over ``idx`` (-1 takes pages off swap).
+
+        The first store gives the column its storage."""
+        if self.swap.strides == (0,):
+            self.swap = np.full(self.npages, -1, dtype=np.int64)
+        self.swap[idx] = slots
+
+    # ------------------------------------------------------------ surgery --
     def split(self, at: int) -> tuple["PageTable", "PageTable"]:
         """Split into two independent tables at page index ``at``."""
         if not (0 < at < self.npages):
             raise SimulationError(f"bad split index {at} for {self.npages} pages")
-        left = PageTable(at)
-        right = PageTable(self.npages - at)
-        left.frame[:] = self.frame[:at]
-        left.node[:] = self.node[:at]
-        left.flags[:] = self.flags[:at]
-        right.frame[:] = self.frame[at:]
-        right.node[:] = self.node[at:]
-        right.flags[:] = self.flags[at:]
-        # Optional extension state (swap slots) follows the split.
-        swap = getattr(self, "_swap_slots", None)
-        if swap is not None:
-            left._swap_slots = swap[:at].copy()  # type: ignore[attr-defined]
-            right._swap_slots = swap[at:].copy()  # type: ignore[attr-defined]
+        columns = (self.frame, self.node, self.flags, self.swap)
+        left = PageTable._of(*(_part(c, slice(None, at)) for c in columns))
+        right = PageTable._of(*(_part(c, slice(at, None)) for c in columns))
         return left, right
+
+    def concat(self, other: "PageTable") -> "PageTable":
+        """One table covering this one's pages, then ``other``'s."""
+        if self.swap.strides == other.swap.strides == (0,):
+            swap = _off_swap(self.npages + other.npages)
+        else:
+            swap = np.concatenate((self.swap, other.swap))
+        return PageTable._of(
+            np.concatenate((self.frame, other.frame)),
+            np.concatenate((self.node, other.node)),
+            np.concatenate((self.flags, other.flags)),
+            swap,
+        )
+
+    def fork_copy(self) -> "PageTable":
+        """The child's copy of this table at ``fork``.
+
+        Frames, nodes and flags are copied; swap linkage is not (a
+        documented quirk: a swapped page reverts to demand-zero in the
+        child, see ``docs/correctness.md``)."""
+        return PageTable._of(
+            self.frame.copy(), self.node.copy(), self.flags.copy(), _off_swap(self.npages)
+        )
 
     def check_invariants(self) -> None:
         """Internal consistency checks (used by tests)."""

@@ -663,9 +663,7 @@ def swap_in_run(
     """
     if _storm_declines(kernel, thread, run, tag):
         return None
-    device = getattr(kernel, "swap", None)
-    if device is None:
-        return None
+    device = kernel.swap
     channel = device.channel
     if channel._active:
         return None
@@ -678,9 +676,8 @@ def swap_in_run(
         return None
     # --- bulk commit ----------------------------------------------------
     pt = vma.pt
-    table = pt._swap_slots
     span = slice(idx, idx + run)
-    slots = table[span].copy()
+    slots = pt.swap[span].copy()
     frames = kernel.allocators[dest].alloc_seq(run)
     if kernel.track_contents:
         for frame, slot in zip(frames, slots):
@@ -688,7 +685,7 @@ def swap_in_run(
             if data is not None:
                 kernel.page_data[int(frame)] = data
     pt.map_pages(span, frames, np.full(run, dest, dtype=np.int16), vma.allows(True))
-    table[span] = -1
+    pt.set_swap(span, -1)
     device.free_slots(slots)
     device.pages_in += run
     kernel.stats.pages_swapped_in += run

@@ -29,7 +29,7 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import Errno, SimulationError, SyscallError
+from ..errors import Errno, SyscallError
 from ..obs import tracepoints
 from ..sim.engine import Environment
 from ..sim.resources import BandwidthResource
@@ -109,29 +109,14 @@ class SwapDevice:
 
 def attach_swap(kernel: Kernel, device: Optional[SwapDevice] = None) -> SwapDevice:
     """Give a kernel a swap device (idempotent; returns it)."""
-    existing = getattr(kernel, "swap", None)
-    if existing is not None:
-        return existing
-    device = device or SwapDevice(kernel.env)
-    kernel.swap = device  # type: ignore[attr-defined]
-    return device
-
-
-def _swap_table(vma: Vma) -> np.ndarray:
-    """Lazily attach a swap-slot array to a VMA's page table."""
-    table = getattr(vma.pt, "_swap_slots", None)
-    if table is None or table.size != vma.pt.npages:
-        table = np.full(vma.pt.npages, -1, dtype=np.int64)
-        vma.pt._swap_slots = table  # type: ignore[attr-defined]
-    return table
+    if kernel.swap is None:
+        kernel.swap = device or SwapDevice(kernel.env)
+    return kernel.swap
 
 
 def swapped_pages(vma: Vma) -> np.ndarray:
     """Indices of pages of ``vma`` currently on swap."""
-    table = getattr(vma.pt, "_swap_slots", None)
-    if table is None:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(table >= 0)[0].astype(np.int64)
+    return np.flatnonzero(vma.pt.swap >= 0)
 
 
 def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
@@ -140,7 +125,7 @@ def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
     Populated pages are written to the swap device, their frames freed
     and their PTEs left pointing at swap slots. Returns pages written.
     """
-    device: Optional[SwapDevice] = getattr(kernel, "swap", None)
+    device = kernel.swap
     if device is None:
         raise SyscallError(Errno.ENODEV, "no swap device attached")
     process = thread.process
@@ -150,13 +135,12 @@ def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
         for vma, first, stop in process.addr_space.range_segments(addr, nbytes):
             if vma.shared:
                 raise SyscallError(Errno.EINVAL, "swap-out of shared mappings unsupported")
-            if getattr(vma, "mlocked", False):
+            if vma.mlocked:
                 raise SyscallError(Errno.EPERM, "range is mlocked")
             idxs = np.arange(first, stop, dtype=np.int64)
             idxs = idxs[vma.pt.frame[idxs] >= 0]
             if idxs.size == 0:
                 continue
-            table = _swap_table(vma)
             slots = device.alloc_slots(int(idxs.size))
             frames = vma.pt.frame[idxs].copy()
             if kernel.track_contents:
@@ -184,7 +168,7 @@ def sys_swap_out(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int):
                         pages=int(np.count_nonzero(src_nodes == src)),
                     )
             vma.pt.unmap_pages(idxs)
-            table[idxs] = slots
+            vma.pt.set_swap(idxs, slots)
             kernel.release_frames(frames)
             device.pages_out += int(idxs.size)
             written += int(idxs.size)
@@ -200,31 +184,28 @@ def swap_in_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.ndarra
     This is where the rejected design's next-touch effect happens; it
     is also where the storage subsystem makes it slow.
     """
-    device: Optional[SwapDevice] = getattr(kernel, "swap", None)
-    if device is None:
-        raise SimulationError("swap-in without a swap device")
-    table = _swap_table(vma)
-    idxs = idxs[table[idxs] >= 0]
+    device = kernel.swap
+    idxs = idxs[vma.pt.swap[idxs] >= 0]
     if idxs.size == 0:
         return
     process = thread.process
     ptl = process.ptl(vma.start, int(idxs[0]))
     yield ptl.acquire()
     try:
-        idxs = idxs[table[idxs] >= 0]  # re-check under the lock
+        idxs = idxs[vma.pt.swap[idxs] >= 0]  # re-check under the lock
         if idxs.size == 0:
             return
         k = int(idxs.size)
         dest = kernel.machine.node_of_core(thread.core)
         frames = kernel.alloc_on(dest, k)
-        slots = table[idxs].copy()
+        slots = vma.pt.swap[idxs]
         if kernel.track_contents:
             for frame, slot in zip(frames, slots):
                 data = device.slot_data.get(int(slot))
                 if data is not None:
                     kernel.page_data[int(frame)] = data
         vma.pt.map_pages(idxs, frames, np.full(k, dest, dtype=np.int16), vma.allows(True))
-        table[idxs] = -1
+        vma.pt.set_swap(idxs, -1)
         device.free_slots(slots)
         device.pages_in += k
         kernel.stats.pages_swapped_in += k

@@ -138,9 +138,8 @@ def sys_madvise(kernel: Kernel, thread: "SimThread", addr: int, nbytes: int, adv
             return 0
         segments = list(process.addr_space.range_segments(addr, nbytes))
         if advice is Madvise.NEXTTOUCH:
-            shared_ok = bool(getattr(kernel, "_ext_shared_nt", False))
             for vma, first, stop in segments:
-                if (vma.shared and not shared_ok) or not vma.anonymous:
+                if (vma.shared and not kernel.shared_next_touch) or not vma.anonymous:
                     raise SyscallError(
                         Errno.EINVAL, "MADV_NEXTTOUCH supports private anonymous mappings only"
                     )

@@ -35,7 +35,7 @@ PROT_RW: int = PROT_READ | PROT_WRITE
 class Vma:
     """One virtual memory area."""
 
-    __slots__ = ("start", "pt", "prot", "shared", "anonymous", "policy", "name", "anon_vma", "huge", "_file", "mlocked")
+    __slots__ = ("start", "pt", "prot", "shared", "anonymous", "policy", "name", "anon_vma", "huge", "file", "mlocked")
 
     def __init__(
         self,
@@ -61,7 +61,7 @@ class Vma:
         #: Backed by 2 MiB huge pages (see :mod:`repro.ext.hugepages`).
         self.huge = False
         #: Backing file for file mappings (:mod:`repro.kernel.files`).
-        self._file = None
+        self.file = None
         #: Pinned against swap-out (``mlock``).
         self.mlocked = False
         #: The rmap lock serializing unmap operations over this area's
@@ -117,43 +117,29 @@ class Vma:
             and self.anon_vma is other.anon_vma
             and self.name == other.name
             and self.huge == other.huge
-            and self._file is other._file
+            and self.file is other.file
             and self.mlocked == other.mlocked
         )
 
-    # ------------------------------------------------------------ split -----
+    # ------------------------------------------------------------ surgery ---
+    def like(self, start: int, pt: PageTable) -> "Vma":
+        """A VMA at ``start`` over ``pt`` with every other attribute
+        (each name in ``__slots__``) taken from this one."""
+        vma = Vma.__new__(Vma)
+        for name in Vma.__slots__:
+            setattr(vma, name, getattr(self, name))
+        vma.start = start
+        vma.pt = pt
+        return vma
+
     def split(self, at_page: int) -> tuple["Vma", "Vma"]:
         """Split into two VMAs at page index ``at_page``."""
         left_pt, right_pt = self.pt.split(at_page)
-        left = Vma(
-            self.start,
-            at_page,
-            self.prot,
-            shared=self.shared,
-            anonymous=self.anonymous,
-            policy=self.policy,
-            name=self.name,
-            anon_vma=self.anon_vma,
-        )
-        right = Vma(
-            self.addr_of_page(at_page),
-            self.npages - at_page,
-            self.prot,
-            shared=self.shared,
-            anonymous=self.anonymous,
-            policy=self.policy,
-            name=self.name,
-            anon_vma=self.anon_vma,
-        )
-        left.pt = left_pt
-        right.pt = right_pt
-        left.huge = self.huge
-        right.huge = self.huge
-        left._file = self._file
-        right._file = self._file
-        left.mlocked = self.mlocked
-        right.mlocked = self.mlocked
-        return left, right
+        return self.like(self.start, left_pt), self.like(self.addr_of_page(at_page), right_pt)
+
+    def merge(self, other: "Vma") -> "Vma":
+        """This area extended by the adjacent, compatible ``other``."""
+        return self.like(self.start, self.pt.concat(other.pt))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

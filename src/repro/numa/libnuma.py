@@ -124,18 +124,15 @@ def numa_maps(process: SimProcess) -> str:
         if vma.anonymous:
             parts.append(f"anon={vma.pt.resident_pages()}")
         else:
-            backing = getattr(vma, "_file", None)
-            parts.append(f"file={backing.name if backing else '?'}")
+            parts.append(f"file={vma.file.name}")
             parts.append(f"mapped={vma.pt.resident_pages()}")
         if vma.shared:
             parts.append("shared")
         if vma.huge:
             parts.append("huge")
-        swap_table = getattr(vma.pt, "_swap_slots", None)
-        if swap_table is not None:
-            swapped = int(np.count_nonzero(swap_table >= 0))
-            if swapped:
-                parts.append(f"swapcache={swapped}")
+        swapped = int(np.count_nonzero(vma.pt.swap >= 0))
+        if swapped:
+            parts.append(f"swapcache={swapped}")
         if nodes:
             parts.append(nodes)
         parts.append(f"({vma.name or 'anonymous'})")

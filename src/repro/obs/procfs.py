@@ -161,11 +161,10 @@ def vmstat_data(kernel) -> dict[str, int]:
         "nr_forks": stats.forks,
         "nr_signals": stats.signals_delivered,
     }
-    swap = getattr(kernel, "swap", None)
-    if swap is not None:
+    if kernel.swap is not None:
         out["pswpout"] = stats.pages_swapped_out
         out["pswpin"] = stats.pages_swapped_in
-        out["nr_swap_used"] = swap.used
+        out["nr_swap_used"] = kernel.swap.used
     return out
 
 

@@ -79,17 +79,16 @@ class CpusetManager:
     def attach(self, process: SimProcess, cpuset: CpuSet) -> None:
         """Confine a process to a cpuset (affects future placement and
         allocation; existing pages are not moved — use :meth:`move`)."""
-        old = getattr(process, "_cpuset", None)
-        if old is not None:
-            old.processes.remove(process)
+        if process.cpuset is not None:
+            process.cpuset.processes.remove(process)
         cpuset.processes.append(process)
-        process._cpuset = cpuset  # type: ignore[attr-defined]
+        process.cpuset = cpuset
         process.allowed_mems = cpuset.mems
         process.allowed_cores = cpuset.cores
 
     def cpuset_of(self, process: SimProcess) -> Optional[CpuSet]:
         """The process's cpuset, if any."""
-        return getattr(process, "_cpuset", None)
+        return process.cpuset
 
     # ------------------------------------------------------------ migration --
     def move(self, admin_thread: SimThread, process: SimProcess, dest: CpuSet):

@@ -82,7 +82,6 @@ class Semaphore:
         if self._available > 0 and not self._waiters:
             self._available -= 1
             self.stats.acquisitions += 1
-            ev._last_acquire_time = self.env.now  # type: ignore[attr-defined]
             ev.succeed()
         else:
             self.stats.contended += 1

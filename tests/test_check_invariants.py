@@ -202,12 +202,10 @@ def test_ledger_consistency_detects_unattributed_migration(system):
 def test_swap_consistency_detects_leaked_slot(system):
     populated_system(system)
     vma = system.kernel.processes[0].addr_space.vmas[0]
-    table = np.full(vma.pt.npages, -1, dtype=np.int64)
-    table[1] = 7  # references a slot no device ever allocated
     vma.pt.frame[1] = -1
     vma.pt.node[1] = -1
     vma.pt.flags[1] = 0
-    vma.pt._swap_slots = table
+    vma.pt.set_swap(1, 7)  # references a slot no device ever allocated
     assert fired(system.kernel, "swap_consistency")
 
 
@@ -238,3 +236,19 @@ def test_assert_invariants_raises_with_structured_violations(system):
     with pytest.raises(InvariantViolation) as exc:
         assert_invariants(system.kernel)
     assert any(v.invariant == "numastat_balance" for v in exc.value.violations)
+
+
+def test_vma_layout_detects_mis_sized_swap_column(system):
+    populated_system(system)
+    vma = system.kernel.processes[0].addr_space.vmas[0]
+    vma.pt.swap = np.full(vma.pt.npages + 1, -1, dtype=np.int64)
+    assert fired(system.kernel, "vma_layout")
+
+
+def test_pte_consistency_detects_populated_page_on_swap(system):
+    populated_system(system)
+    vma = system.kernel.processes[0].addr_space.vmas[0]
+    assert vma.pt.frame[0] >= 0
+    vma.pt.set_swap(0, 0)
+    found = fired(system.kernel, "pte_consistency")
+    assert "page both populated and on swap" in {v.message.split(": ", 1)[1] for v in found}

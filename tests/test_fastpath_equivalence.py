@@ -122,7 +122,6 @@ def canonical(ex: OpExecutor) -> dict:
     for name, proc in sorted(ex.procs.items()):
         vmas = []
         for vma in proc.addr_space.vmas:
-            swap = getattr(vma.pt, "_swap_slots", None)
             vmas.append(
                 {
                     "start": vma.start,
@@ -130,7 +129,7 @@ def canonical(ex: OpExecutor) -> dict:
                     "frame": vma.pt.frame.tolist(),
                     "node": vma.pt.node.tolist(),
                     "flags": vma.pt.flags.tolist(),
-                    "swap": None if swap is None else swap.tolist(),
+                    "swap": vma.pt.swap.tolist(),
                 }
             )
         procs[name] = {

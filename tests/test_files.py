@@ -183,3 +183,38 @@ def test_concurrent_readers_fault_once_per_page():
     drive_many(system, [(reader, 1), (reader, 5)], process=proc)
     assert page_cache_stats(f)["misses"] == 16  # no duplicate device reads
     assert sum(a.used for a in system.kernel.allocators) == 16
+
+
+
+
+def test_fork_child_keeps_the_file_but_not_the_lock(checked_system):
+    """A private read-only mapping of a 4-page file with page 0 faulted
+    in, forked next to an ``mlock``ed buffer: the child's file VMA keeps
+    the backing file, so a page first touched after the fork comes from
+    the file, not from demand-zero; and no child VMA is ``mlocked``
+    (memory locks are not inherited)."""
+    system = checked_system
+    f = SimFile(system.kernel, "fork.bin", 4 * PAGE_SIZE)
+    f.write_initial(2 * PAGE_SIZE + 10, b"file-contents")
+    parent = system.create_process("parent")
+    box = {}
+
+    def body(t):
+        box["addr"] = yield from mmap_file(t, f, PROT_READ, shared=False)
+        yield from t.touch(box["addr"], PAGE_SIZE, write=False)
+        box["locked"] = yield from t.mmap(PAGE_SIZE, PROT_RW)
+        yield from t.mlock(box["locked"], PAGE_SIZE)
+        box["child"] = yield from t.fork()
+
+    drive(system, body, core=0, process=parent)
+    child, addr = box["child"], box["addr"]
+
+    def reader(t):
+        data = yield from t.read_bytes(addr + 2 * PAGE_SIZE + 10, 13)
+        return bytes(data)
+
+    assert drive(system, reader, core=0, process=parent) == b"file-contents"
+    assert drive(system, reader, core=4, process=child) == b"file-contents"
+    assert child.addr_space.find_vma(addr).file is f
+    assert parent.addr_space.find_vma(box["locked"]).mlocked
+    assert not any(v.mlocked for v in child.addr_space.vmas)

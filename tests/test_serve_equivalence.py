@@ -23,7 +23,7 @@ from repro.apps.kvserver import (
     make_policy,
 )
 from repro.experiments.common import fresh_system
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, _quantile
 from repro.obs.telemetry import stats_snapshot
 
 POLICIES = ("static", "move_pages", "nexttouch", "autonuma", "replicate")
@@ -203,3 +203,14 @@ def test_gate_observe_batch_matches_scalar_observe():
         assert gate.recoveries == scalar.recoveries
         assert gate.rolling_p99() == scalar.rolling_p99()
         assert list(gate._window) == list(scalar._window)
+
+
+def test_gate_p99_matches_a_fresh_sort_of_the_window():
+    """The sorted mirror both feed paths maintain is the window, sorted:
+    the rolling p99 after every observation equals the p99 of a fresh
+    sort, from the first samples through many evictions."""
+    rng = random.Random(78)
+    gate = SloGate(900.0, window=64)
+    for i in range(400):
+        gate.observe(rng.uniform(50.0, 2000.0), float(i))
+        assert gate.rolling_p99() == _quantile(sorted(gate._window), 0.99)
