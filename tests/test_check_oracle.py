@@ -5,6 +5,7 @@ interactions (see docs/correctness.md)."""
 import pytest
 
 from repro.check import DiffHarness
+from repro.kernel.pagetable import PTE_WRITE
 from repro.kernel.vma import PROT_NONE, PROT_READ, PROT_RW
 
 
@@ -191,6 +192,60 @@ def test_shared_mapping_fork_no_cow():
             _touch("r0", 0, 4, write=True, proc="p1", core=3),  # no COW on shared
         ]
     )
+
+
+def _forked_four_pages():
+    """A harness whose ``p0`` wrote 4 pages on node 0 and then forked
+    ``p1``; returns it and the first page's vpn."""
+    harness = run_clean(
+        [
+            _mmap("r0", 4),
+            _touch("r0", 0, 4, write=True),
+            {"kind": "fork", "proc": "p0", "core": 0, "child": "p1"},
+        ]
+    )
+    return harness, harness.executor.regions["r0"][0] >> 12
+
+
+def test_state_diff_messages_are_pinned():
+    """One difference of every class the diff reports, in its order:
+    node_used, swap_used, numa_hit, then per process (sorted) the
+    layout and the page tuples, a process on one side only included."""
+    harness, vpn = _forked_four_pages()
+    harness.kernel.allocators[1].alloc()
+    harness.oracle.swapped_pages += 2
+    harness.kernel.numastat.numa_hit[3] += 1
+    harness.oracle.procs["p1"].prot[vpn + 2] = int(PROT_READ)
+    harness.kprocs["p0"].addr_space.vmas[0].pt.flags[1] |= PTE_WRITE
+    ghost = harness.oracle.create_process("p2")
+    ghost.prot[vpn] = int(PROT_RW)
+    ghost.shared[vpn] = False
+    ghost.page(vpn).swapped = True
+    tuples = "(node,P,W,NT,COW,swap,refs)"
+    assert harness.state_diff() == [
+        "node_used: kernel [4, 1, 0, 0] oracle [4, 0, 0, 0]",
+        "swap_used: kernel 0 oracle 2",
+        "numa_hit: kernel [4, 0, 0, 1] oracle [4, 0, 0, 0]",
+        f"p0 vpn 0x{vpn + 1:x} {tuples}: kernel (0, True, True, False, True, False, 2) "
+        "oracle (0, True, False, False, True, False, 2)",
+        f"p1 vpn 0x{vpn + 2:x} layout: kernel (3, False) oracle (1, False)",
+        f"p2 vpn 0x{vpn:x} layout: kernel None oracle (3, False)",
+        f"p2 vpn 0x{vpn:x} {tuples}: kernel None oracle (-1, False, False, False, False, True, 0)",
+    ]
+
+
+def test_state_diff_stops_after_eight_messages():
+    """A process the oracle lost differs on 4 layout and 4 page
+    entries; with a node_used difference first, the diff stops at 8."""
+    harness, vpn = _forked_four_pages()
+    harness.kernel.allocators[2].alloc()
+    del harness.oracle.procs["p1"]
+    page = "(node,P,W,NT,COW,swap,refs): kernel (0, True, False, False, True, False, 2)"
+    assert harness.state_diff() == [
+        "node_used: kernel [4, 0, 1, 0] oracle [4, 0, 0, 0]",
+        *(f"p1 vpn 0x{vpn + i:x} layout: kernel (3, False) oracle None" for i in range(4)),
+        *(f"p1 vpn 0x{vpn + i:x} {page} oracle None" for i in range(3)),
+    ]
 
 
 def test_dangling_references_are_skipped():

@@ -2,7 +2,11 @@
 must stay bit-identical across calls, independent across names, and
 pinned across releases (reproducer files and fuzz seeds depend on it)."""
 
+import hashlib
+import json
+
 import numpy as np
+import pytest
 
 from repro.sim.rng import DEFAULT_SEED, make_rng
 
@@ -46,3 +50,35 @@ def test_fuzzer_workloads_are_stable():
     ops = generate_ops(DEFAULT_SEED, 5)
     assert ops == generate_ops(DEFAULT_SEED, 5)
     assert [op["kind"] for op in ops] == ["fork", "mmap", "mmap", "swap_out", "touch"]
+
+
+def _ops_digest(op_lists):
+    return hashlib.sha256(json.dumps(op_lists, sort_keys=True).encode()).hexdigest()
+
+
+def test_fuzz_corpus_ops_are_pinned():
+    """Every op of the benchmark's fuzz corpus (seeds 1235-1294, 50 ops
+    each), frozen as one digest: a cheaper way of drawing ops must
+    consume the stream exactly as before."""
+    from repro.check import generate_ops
+
+    corpus = [generate_ops(seed, 50) for seed in range(1235, 1295)]
+    assert _ops_digest(corpus) == (
+        "ccb7d04bf202dd762a726f5221ebaa6cb34aecb824e930ef7e0e03321ae1221e"
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n_ops, max_procs, max_pages, digest",
+    [
+        (7, 50, 1, 24, "6386cc01d96a86893971572ea5492e6bf13d135a62d53897bf73e6a89311bcf5"),
+        (7, 50, 2, 1, "1ee9d47625b865fc8b2e6b356f2b34876281e7471cf72f4cd3330e8179b3aa84"),
+        (7, 50, 6, 64, "5e3d263b47994a3bab51c25f9b5ea00161bfb98e1782c4b3e62c5323f2821ed9"),
+        (99, 200, 4, 3, "c3e36239b48cc252f647ac4c36aedd53b3e3ae63cfd3f83307a89801a709c7cf"),
+    ],
+)
+def test_fuzz_ops_are_pinned_across_shapes(seed, n_ops, max_procs, max_pages, digest):
+    from repro.check import generate_ops
+
+    ops = generate_ops(seed, n_ops, max_procs=max_procs, max_pages=max_pages)
+    assert _ops_digest(ops) == digest
