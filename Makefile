@@ -27,9 +27,9 @@ verify: test fuzz-quick
 fuzz:
 	$(PYTHON) -m repro.check --runs 600 --ops 50 --selftest --out results/fuzz
 
-# The tier-1-sized variant (~2s): 200 sequences plus the shrinker
-# selftest (injects a fault, asserts it shrinks to a tiny reproducer).
-# Part of `make verify`.
+# The tier-1-sized variant (~2.5 s on a 2-core host): 200 sequences
+# plus the shrinker selftest (injects a fault, asserts it shrinks to a
+# tiny reproducer). Part of `make verify`.
 fuzz-quick:
 	$(PYTHON) -m repro.check --runs 200 --ops 25 --selftest --out results/fuzz
 

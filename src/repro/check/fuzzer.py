@@ -26,9 +26,11 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..kernel.vma import PROT_NONE, PROT_READ, PROT_RW
 from ..sim.rng import DEFAULT_SEED, make_rng
-from .harness import MACHINE_SPEC, DiffHarness, Failure
+from .harness import INJECTION_MODES, MACHINE_SPEC, DiffHarness, Failure
 
 __all__ = [
     "REPRODUCER_SCHEMA",
@@ -65,6 +67,25 @@ _KINDS = [
     "swap_out",
 ]
 _WEIGHTS = [0.16, 0.30, 0.07, 0.10, 0.04, 0.09, 0.05, 0.04, 0.05, 0.10]
+_BATCHES = [1, 4, 512]
+_PROTS = [int(PROT_RW), int(PROT_READ), int(PROT_NONE)]
+
+
+def _cdf(weights: list[float]) -> np.ndarray:
+    """Normalized cumulative weights, as ``Generator.choice`` builds
+    them from ``p``."""
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf
+
+
+# ``Generator.choice(a, p=w)`` draws ``cdf(w).searchsorted(rng.random(),
+# side="right")`` and ``Generator.choice(a)`` draws ``rng.integers(0,
+# len(a))``; drawing the same way here keeps every op stream identical
+# without building a weight array per draw.
+_KIND_CDF = _cdf(_WEIGHTS)
+_BATCH_CDF = _cdf([0.5, 0.25, 0.25])
+_PROT_CDF = _cdf([0.5, 0.3, 0.2])
 
 
 # ------------------------------------------------------------------ generate --
@@ -87,6 +108,12 @@ def generate_ops(
 
     def _core() -> int:
         return int(rng.integers(0, _NUM_CORES))
+
+    def _pick(items: list, cdf: np.ndarray):
+        return items[int(cdf.searchsorted(rng.random(), side="right"))]
+
+    def _any(items: list):
+        return items[int(rng.integers(0, len(items)))]
 
     def _mmap(proc: str) -> dict:
         nonlocal next_region
@@ -114,8 +141,8 @@ def generate_ops(
         return lo, hi
 
     while len(ops) < n_ops:
-        proc = str(rng.choice(sorted(proc_regions)))
-        kind = str(rng.choice(_KINDS, p=_WEIGHTS))
+        proc = _any(sorted(proc_regions))
+        kind = _pick(_KINDS, _KIND_CDF)
         if kind == "fork":
             if next_proc >= max_procs:
                 kind = "touch"  # process budget exhausted; keep the mix
@@ -139,14 +166,14 @@ def generate_ops(
         if kind == "mmap" or not proc_regions[proc]:
             ops.append(_mmap(proc))
             continue
-        rid = str(rng.choice(proc_regions[proc]))
+        rid = _any(proc_regions[proc])
         lo, hi = _window(rid)
         op = {"kind": kind, "proc": proc, "core": _core(), "region": rid, "lo": lo, "hi": hi}
         if kind == "touch":
             op["write"] = bool(rng.random() < 0.6)
-            op["batch"] = int(rng.choice([1, 4, 512], p=[0.5, 0.25, 0.25]))
+            op["batch"] = _pick(_BATCHES, _BATCH_CDF)
         elif kind == "mprotect":
-            op["prot"] = int(rng.choice([PROT_RW, PROT_READ, PROT_NONE], p=[0.5, 0.3, 0.2]))
+            op["prot"] = _pick(_PROTS, _PROT_CDF)
         elif kind == "move_pages":
             op["dest"] = int(rng.integers(0, _NUM_NODES))
         ops.append(op)
@@ -305,15 +332,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="repro.check.fuzzer",
         description="Differential fuzzer for the simulated memory model.",
     )
-    parser.add_argument("--runs", type=int, default=200, help="seeded sequences to run")
-    parser.add_argument("--ops", type=int, default=25, help="operations per sequence")
+    parser.add_argument("--runs", type=int, default=200, help="seeded sequences to run (> 0)")
+    parser.add_argument("--ops", type=int, default=25, help="operations per sequence (> 0)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed")
     parser.add_argument(
         "--out", type=Path, default=Path("results/fuzz"), help="reproducer output directory"
     )
     parser.add_argument(
         "--inject",
-        choices=["nt-drop", "node-cache", "ref-leak"],
+        choices=INJECTION_MODES,
         default=None,
         help="deterministic fault injection (testing the harness itself)",
     )
@@ -323,6 +350,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="also verify an injected fault is caught, shrunk and replayable",
     )
     args = parser.parse_args(argv)
+    for flag, value in (("--runs", args.runs), ("--ops", args.ops)):
+        if value < 1:  # a run of nothing would pass without checking anything
+            parser.error(f"{flag} must be positive, got {value}")
 
     status = 0
     failures = 0

@@ -6,10 +6,12 @@ system: kernel, threads, swap device) with a
 stream, and after **every** op compares:
 
 1. the op's *outcome* (return value, errno, or segfault address);
-2. the *canonical state* — per-page placement, protection, next-touch
+2. every registered kernel invariant (:mod:`repro.check.invariants`);
+3. the *canonical state* — per-page placement, protection, next-touch
    marks, COW/swap state, frame reference counts, per-node allocator
-   usage, swap-slot usage, and ``numa_hit`` counters;
-3. every registered kernel invariant (:mod:`repro.check.invariants`).
+   usage, swap-slot usage, and ``numa_hit`` counters. The kernel side
+   is read from the invariant sweep's :class:`KernelView`, one packed
+   int per page, and messages are formatted only on a mismatch.
 
 The first mismatch stops the run and is reported as a :class:`Failure`
 carrying the step index and the offending op — the unit the fuzzer's
@@ -52,20 +54,23 @@ import numpy as np
 from ..errors import SegmentationFault, SyscallError
 from ..hardware.topology import Machine
 from ..kernel.core import SimProcess
-from ..kernel.pagetable import (
-    PTE_COW,
-    PTE_NEXTTOUCH,
-    PTE_PRESENT,
-    PTE_WRITE,
-)
+from ..kernel.pagetable import PTE_NEXTTOUCH, PTE_PRESENT
 from ..kernel.swap import SwapDevice, attach_swap
 from ..kernel.syscalls import Madvise
+from ..kernel.vma import PROT_WRITE
 from ..system import System
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
-from .invariants import check_kernel
+from .invariants import KernelView, check_kernel, page_tuple
 from .oracle import Oracle
 
-__all__ = ["Failure", "OpExecutor", "DiffHarness", "fuzz_machine", "MACHINE_SPEC"]
+__all__ = [
+    "Failure",
+    "OpExecutor",
+    "DiffHarness",
+    "fuzz_machine",
+    "MACHINE_SPEC",
+    "INJECTION_MODES",
+]
 
 #: The machine every fuzz run simulates (small enough to diff every
 #: step, big enough for 4-node placement and swap pressure).
@@ -79,6 +84,9 @@ _RANGE_OPS = frozenset(
 #: How many individual differences a state diff reports before cutting
 #: off (one is enough to fail; a handful helps debugging).
 _MAX_DIFFS = 8
+
+#: Deterministic fault injections (see :meth:`DiffHarness._apply_injection`).
+INJECTION_MODES = ("nt-drop", "node-cache", "ref-leak", "prot-drift")
 
 
 def fuzz_machine() -> Machine:
@@ -244,6 +252,8 @@ class DiffHarness:
     """Runs an op stream through kernel and oracle in lockstep."""
 
     def __init__(self, inject: Optional[str] = None) -> None:
+        if inject is not None and inject not in INJECTION_MODES:
+            raise ValueError(f"unknown injection mode {inject!r}; one of {INJECTION_MODES}")
         self.executor = OpExecutor()
         self.kernel = self.executor.kernel
         #: proc id -> real SimProcess (the oracle keeps its own table)
@@ -286,12 +296,13 @@ class DiffHarness:
             )
         if self.inject is not None:
             self._apply_injection(op, got)
-        violations = check_kernel(self.kernel)
+        view = KernelView(self.kernel)
+        violations = check_kernel(self.kernel, view=view)
         if violations:
             return Failure(
                 "invariant", violations[0].invariant, step, op, [str(v) for v in violations]
             )
-        diffs = self.state_diff()
+        diffs = self.state_diff(view)
         if diffs:
             return Failure("divergence", kind, step, op, diffs)
         return None
@@ -328,7 +339,10 @@ class DiffHarness:
         * ``node-cache`` — after a successful ``move_pages``, corrupt
           one page's cached node id;
         * ``ref-leak`` — after a successful ``fork``, leak one frame
-          reference.
+          reference;
+        * ``prot-drift`` — after a successful ``mprotect``, flip
+          ``PROT_WRITE`` on one VMA in the range (only the diff's
+          layout compare sees it).
         """
         if got[0] != "ok":
             return
@@ -360,82 +374,89 @@ class DiffHarness:
                     f = int(frames[0])
                     self.kernel.frame_refs[f] = self.kernel.frame_refs.get(f, 1) + 1
                     return
+        elif mode == "prot-drift" and kind == "mprotect":
+            addr, nbytes = self.executor.resolve_range(op)
+            proc = self.kprocs[op["proc"]]
+            for vma, _first, _stop in self._mapped_segments(proc, addr, nbytes):
+                vma.prot ^= PROT_WRITE
+                return
 
     # ------------------------------------------------------------ diffing ----
-    def kernel_canonical(self) -> dict:
-        """The real kernel's state in the oracle's canonical form."""
-        out: dict = {
-            "procs": {},
-            "node_used": [a.used for a in self.kernel.allocators],
-        }
-        for pid, proc in self.kprocs.items():
-            layout: dict[int, tuple] = {}
-            pages: dict[int, tuple] = {}
-            for vma in proc.addr_space.vmas:
-                base = vma.start >> PAGE_SHIFT
-                pt = vma.pt
-                ptes = zip(pt.frame.tolist(), pt.node.tolist(), pt.flags.tolist(), pt.swap.tolist())
-                for i, (frame, node, flags, slot) in enumerate(ptes):
-                    vpn = base + i
-                    layout[vpn] = (int(vma.prot), bool(vma.shared))
-                    swapped = slot >= 0
-                    present = bool(flags & PTE_PRESENT)
-                    write = bool(flags & PTE_WRITE)
-                    nt = bool(flags & PTE_NEXTTOUCH)
-                    cow = bool(flags & PTE_COW)
-                    if frame < 0 and not swapped and not (present or write or nt or cow):
-                        continue
-                    pages[vpn] = (
-                        node if frame >= 0 else -1,
-                        present,
-                        write,
-                        nt,
-                        cow,
-                        swapped,
-                        self.kernel.frame_refs.get(frame, 1) if frame >= 0 else 0,
-                    )
-            out["procs"][pid] = {"layout": layout, "pages": pages}
-        out["swap_used"] = self.kernel.swap.used
-        out["numa_hit"] = list(self.kernel.numastat.numa_hit)
-        return out
-
-    def state_diff(self) -> list[str]:
+    def state_diff(self, view: Optional[KernelView] = None) -> list[str]:
         """Differences between kernel and oracle canonical state.
 
-        ACCESSED/DIRTY bits and simulated time are deliberately outside
-        the comparison (timing-only state; see ``docs/correctness.md``).
+        ``view`` is the kernel's current :class:`KernelView` (a fresh one
+        when omitted). Each process's pages compare as ``{vpn: page
+        code}`` dicts, its layout as the oracle's own ``prot``/``shared``
+        dicts; messages are built, decoded to ``(node, P, W, NT, COW,
+        swap, refs)`` tuples, only where those differ. ACCESSED/DIRTY
+        bits and simulated time are deliberately outside the comparison
+        (timing-only state; see ``docs/correctness.md``).
         """
-        kern = self.kernel_canonical()
-        orac = self.oracle.canonical()
+        kernel, oracle = self.kernel, self.oracle
+        view = KernelView(kernel) if view is None else view
+        opages, node_used = oracle.page_codes()
         diffs: list[str] = []
 
         def _add(msg: str) -> bool:
             diffs.append(msg)
             return len(diffs) >= _MAX_DIFFS
 
-        if kern["node_used"] != orac["node_used"]:
-            if _add(f"node_used: kernel {kern['node_used']} oracle {orac['node_used']}"):
+        for what, kern, orac in (
+            ("node_used", [a.used for a in kernel.allocators], node_used),
+            ("swap_used", kernel.swap.used, oracle.swapped_pages),
+            ("numa_hit", list(kernel.numastat.numa_hit), list(oracle.numa_hit)),
+        ):
+            if kern != orac and _add(f"{what}: kernel {kern} oracle {orac}"):
                 return diffs
-        if kern["swap_used"] != orac["swap_used"]:
-            if _add(f"swap_used: kernel {kern['swap_used']} oracle {orac['swap_used']}"):
-                return diffs
-        if kern["numa_hit"] != orac["numa_hit"]:
-            if _add(f"numa_hit: kernel {kern['numa_hit']} oracle {orac['numa_hit']}"):
-                return diffs
-        for pid in sorted(set(kern["procs"]) | set(orac["procs"])):
-            kp = kern["procs"].get(pid, {"layout": {}, "pages": {}})
-            op_ = orac["procs"].get(pid, {"layout": {}, "pages": {}})
-            for vpn in sorted(set(kp["layout"]) | set(op_["layout"])):
-                a, b = kp["layout"].get(vpn), op_["layout"].get(vpn)
-                if a != b:
-                    if _add(f"{pid} vpn 0x{vpn:x} layout: kernel {a} oracle {b}"):
+        # The kernel side: every page's vpn, prot and shared flag, and,
+        # from one fixed set of array operations, the pages the canonical
+        # form keeps (a frame, a slot or a flag) with their codes.
+        vpns: list[int] = []
+        prots: list[int] = []
+        shared: list[bool] = []
+        for (_proc, vma), n in zip(view.segments, view.sizes):
+            base = vma.start >> PAGE_SHIFT
+            vpns += range(base, base + n)
+            prots += [int(vma.prot)] * n
+            shared += [bool(vma.shared)] * n
+        kept = np.flatnonzero(view.pte)
+        kept_vpn = [vpns[i] for i in kept.tolist()]
+        kept_code = view.page_codes()[kept].tolist()
+        bounds = view.process_bounds()
+        cuts = kept.searchsorted(bounds).tolist()
+        spans = {
+            proc: (bounds[i], bounds[i + 1], cuts[i], cuts[i + 1])
+            for i, proc in enumerate(kernel.processes)
+        }
+        for pid in sorted(set(self.kprocs) | set(oracle.procs)):
+            # Pages lo:hi of the view, kept pages first:last; a process
+            # the view does not walk has none.
+            lo, hi, first, last = spans.get(self.kprocs.get(pid), (0, 0, 0, 0))
+            oproc = oracle.procs.get(pid)
+            oprot, oshared = ({}, {}) if oproc is None else (oproc.prot, oproc.shared)
+            # The oracle maps pages in address order, so equal key and
+            # value lists mean equal layouts; anything else is walked.
+            if not (
+                list(oprot) == vpns[lo:hi]
+                and list(oprot.values()) == prots[lo:hi]
+                and list(oshared.values()) == shared[lo:hi]
+            ):
+                klayout = dict(zip(vpns[lo:hi], zip(prots[lo:hi], shared[lo:hi])))
+                olayout = {v: (p, oshared[v]) for v, p in oprot.items()}
+                for v in sorted(klayout.keys() | olayout.keys()):
+                    a, b = klayout.get(v), olayout.get(v)
+                    if a != b and _add(f"{pid} vpn 0x{v:x} layout: kernel {a} oracle {b}"):
                         return diffs
-            for vpn in sorted(set(kp["pages"]) | set(op_["pages"])):
-                a, b = kp["pages"].get(vpn), op_["pages"].get(vpn)
-                if a != b:
-                    if _add(
-                        f"{pid} vpn 0x{vpn:x} (node,P,W,NT,COW,swap,refs): "
-                        f"kernel {a} oracle {b}"
+            kpages = dict(zip(kept_vpn[first:last], kept_code[first:last]))
+            pages = opages.get(pid, {})
+            if kpages != pages:
+                for v in sorted(kpages.keys() | pages.keys()):
+                    a, b = kpages.get(v), pages.get(v)
+                    if a != b and _add(
+                        f"{pid} vpn 0x{v:x} (node,P,W,NT,COW,swap,refs): "
+                        f"kernel {None if a is None else page_tuple(a)} "
+                        f"oracle {None if b is None else page_tuple(b)}"
                     ):
                         return diffs
         return diffs

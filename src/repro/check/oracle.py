@@ -24,10 +24,13 @@ the paper (and the Linux mm it models) defines them:
 
 The oracle replays the exact operation stream the real kernel model
 executed (see :mod:`repro.check.harness`) and exposes a canonical
-per-page view for diffing. Where the kernel model has *documented
-quirks* — ``madvise(DONTNEED)`` leaving swap slots behind, ``fork``
-not duplicating swap linkage — the oracle mirrors them, with a
-comment, so the diff stays empty; ``docs/correctness.md`` lists them.
+per-page view for diffing: :meth:`Oracle.page_codes` packs each page
+into the int the kernel side's :class:`~repro.check.invariants.KernelView`
+computes, and :meth:`Oracle.canonical` decodes it into tuples. Where
+the kernel model has *documented quirks* — ``madvise(DONTNEED)``
+leaving swap slots behind, ``fork`` not duplicating swap linkage — the
+oracle mirrors them, with a comment, so the diff stays empty;
+``docs/correctness.md`` lists them.
 
 Timing-only state (ledger charges, ACCESSED/DIRTY bits, TLB counters)
 is deliberately out of scope: the oracle checks *placement and
@@ -40,8 +43,10 @@ from typing import Optional
 
 from ..errors import Errno
 from ..kernel.addrspace import MMAP_BASE
+from ..kernel.pagetable import PTE_COW, PTE_NEXTTOUCH, PTE_PRESENT, PTE_WRITE
 from ..kernel.vma import PROT_READ, PROT_WRITE
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
+from .invariants import NODE_SHIFT, ON_SWAP, REFS_SHIFT, page_tuple
 
 __all__ = ["RefFrame", "PageState", "OracleProcess", "Oracle", "OracleSegv"]
 
@@ -440,32 +445,45 @@ class Oracle:
         self.swapped_pages += 1
 
     # ------------------------------------------------------------ canonical --
+    def page_codes(self) -> tuple[dict[str, dict[int, int]], list[int]]:
+        """Every process's pages with some state as ``{vpn: code}`` (the
+        packing :func:`repro.check.invariants.page_tuple` decodes), and
+        the distinct frames the pages hold per node."""
+        codes: dict[str, dict[int, int]] = {}
+        held: set[RefFrame] = set()
+        for name, proc in self.procs.items():
+            pages = codes[name] = {}
+            for vpn, state in proc.pages.items():
+                code = (
+                    state.present * PTE_PRESENT
+                    | state.write * PTE_WRITE
+                    | state.nt * PTE_NEXTTOUCH
+                    | state.cow * PTE_COW
+                    | state.swapped * ON_SWAP
+                )
+                frame = state.frame
+                if frame is not None:
+                    code |= (frame.node + 1) << NODE_SHIFT | frame.refs << REFS_SHIFT
+                    held.add(frame)
+                if code:  # 0 exactly when the state is empty
+                    pages[vpn] = code
+        node_used = [0] * self.num_nodes
+        for frame in held:
+            node_used[frame.node] += 1
+        return codes, node_used
+
     def canonical(self) -> dict:
         """The oracle's state in the harness's canonical diff form."""
-        out: dict = {"procs": {}, "node_used": [0] * self.num_nodes}
-        frames_seen: set[int] = set()
-        for name, proc in self.procs.items():
-            layout = {}
-            pages = {}
-            for vpn, prot in proc.prot.items():
-                layout[vpn] = (prot, proc.shared[vpn])
-            for vpn, state in proc.pages.items():
-                if state.empty():
-                    continue
-                frame = state.frame
-                pages[vpn] = (
-                    -1 if frame is None else frame.node,
-                    state.present,
-                    state.write,
-                    state.nt,
-                    state.cow,
-                    state.swapped,
-                    0 if frame is None else frame.refs,
-                )
-                if frame is not None and id(frame) not in frames_seen:
-                    frames_seen.add(id(frame))
-                    out["node_used"][frame.node] += 1
-            out["procs"][name] = {"layout": layout, "pages": pages}
-        out["swap_used"] = self.swapped_pages
-        out["numa_hit"] = list(self.numa_hit)
-        return out
+        codes, node_used = self.page_codes()
+        return {
+            "procs": {
+                name: {
+                    "layout": {vpn: (prot, proc.shared[vpn]) for vpn, prot in proc.prot.items()},
+                    "pages": {vpn: page_tuple(code) for vpn, code in codes[name].items()},
+                }
+                for name, proc in self.procs.items()
+            },
+            "node_used": node_used,
+            "swap_used": self.swapped_pages,
+            "numa_hit": list(self.numa_hit),
+        }

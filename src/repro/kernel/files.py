@@ -175,7 +175,7 @@ def file_fault_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nda
         idxs = idxs[still]
         if idxs.size == 0:
             return
-        frames = yield from file.read_pages(thread, idxs)
+        frames = yield from file.read_pages(thread, vma.pgoff + idxs)
         kernel.ref_frames(frames)  # the mapping's reference
         from .frames import node_of_frame
 

@@ -35,7 +35,7 @@ PROT_RW: int = PROT_READ | PROT_WRITE
 class Vma:
     """One virtual memory area."""
 
-    __slots__ = ("start", "pt", "prot", "shared", "anonymous", "policy", "name", "anon_vma", "huge", "file", "mlocked")
+    __slots__ = ("start", "pt", "prot", "shared", "anonymous", "policy", "name", "anon_vma", "huge", "file", "pgoff", "mlocked")
 
     def __init__(
         self,
@@ -62,6 +62,8 @@ class Vma:
         self.huge = False
         #: Backing file for file mappings (:mod:`repro.kernel.files`).
         self.file = None
+        #: File page of the area's first page (Linux's ``vm_pgoff``).
+        self.pgoff = 0
         #: Pinned against swap-out (``mlock``).
         self.mlocked = False
         #: The rmap lock serializing unmap operations over this area's
@@ -108,7 +110,8 @@ class Vma:
         return bool(self.prot & PROT_READ)
 
     def compatible(self, other: "Vma") -> bool:
-        """True if ``other`` could be merged with this area."""
+        """True if ``other``, the next area up, could be merged with
+        this one (a file mapping must also continue in the file)."""
         return (
             self.prot == other.prot
             and self.shared == other.shared
@@ -118,6 +121,7 @@ class Vma:
             and self.name == other.name
             and self.huge == other.huge
             and self.file is other.file
+            and (self.file is None or other.pgoff == self.pgoff + self.npages)
             and self.mlocked == other.mlocked
         )
 
@@ -135,7 +139,9 @@ class Vma:
     def split(self, at_page: int) -> tuple["Vma", "Vma"]:
         """Split into two VMAs at page index ``at_page``."""
         left_pt, right_pt = self.pt.split(at_page)
-        return self.like(self.start, left_pt), self.like(self.addr_of_page(at_page), right_pt)
+        right = self.like(self.addr_of_page(at_page), right_pt)
+        right.pgoff = self.pgoff + at_page
+        return self.like(self.start, left_pt), right
 
     def merge(self, other: "Vma") -> "Vma":
         """This area extended by the adjacent, compatible ``other``."""

@@ -4,8 +4,8 @@ shrinking, and replayable reproducer artifacts."""
 import pytest
 
 from repro.check import generate_ops, run_ops, save_reproducer, load_reproducer, shrink
-from repro.check.fuzzer import MAX_REPRO_OPS, _selftest, replay_reproducer
-from repro.check.harness import MACHINE_SPEC
+from repro.check.fuzzer import MAX_REPRO_OPS, _selftest, main, replay_reproducer
+from repro.check.harness import INJECTION_MODES, MACHINE_SPEC, DiffHarness
 from repro.sim.rng import DEFAULT_SEED
 
 
@@ -97,6 +97,7 @@ INJECTION_SIGNATURES = {
     "nt-drop": ("divergence", "madv_nt"),
     "node-cache": ("invariant", "pte_consistency"),
     "ref-leak": ("invariant", "frame_refcounts"),
+    "prot-drift": ("divergence", "mprotect"),
 }
 
 
@@ -104,3 +105,34 @@ INJECTION_SIGNATURES = {
 def test_other_injection_modes_are_caught(inject):
     _seed, _ops, failure = find_injected_failure(inject=inject, base=4000, n_ops=25, attempts=60)
     assert failure.signature == INJECTION_SIGNATURES[inject]
+
+
+def test_every_injection_mode_has_a_signature():
+    assert set(INJECTION_SIGNATURES) == set(INJECTION_MODES)
+
+
+def test_prot_drift_is_seen_only_by_the_layout_compare():
+    """A kernel VMA whose protection drifted keeps every PTE and counter
+    the oracle expects: the layout messages are the whole failure."""
+    _seed, _ops, failure = find_injected_failure(inject="prot-drift", base=4000, n_ops=25,
+                                                 attempts=60)
+    assert failure.detail and all(" layout: kernel (" in line for line in failure.detail)
+
+
+@pytest.mark.parametrize("inject", ["nt-dorp", ""])
+def test_unknown_injection_mode_is_rejected(inject):
+    with pytest.raises(ValueError, match="unknown injection mode"):
+        DiffHarness(inject=inject)
+    with pytest.raises(ValueError, match="unknown injection mode"):
+        run_ops(generate_ops(DEFAULT_SEED, 5), inject=inject)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--runs", "0"], ["--runs", "-1"], ["--ops", "0"], ["--ops", "-3"], ["--inject", "bogus"]]
+)
+def test_fuzzer_cli_rejects_requests_that_check_nothing(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

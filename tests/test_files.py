@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import drive, drive_many
-from repro import PROT_READ, PROT_RW, System
+from repro import PROT_NONE, PROT_READ, PROT_RW, System
 from repro.errors import Errno, SyscallError
 from repro.kernel.files import SimFile, mmap_file, page_cache_stats
 from repro.util import PAGE_SIZE
@@ -218,3 +218,51 @@ def test_fork_child_keeps_the_file_but_not_the_lock(checked_system):
     assert child.addr_space.find_vma(addr).file is f
     assert parent.addr_space.find_vma(box["locked"]).mlocked
     assert not any(v.mlocked for v in child.addr_space.vmas)
+
+
+def _file_with_contents(system, npages=4):
+    """A file whose page 2 holds ``b"file-contents"`` at offset 10."""
+    f = SimFile(system.kernel, "split.bin", npages * PAGE_SIZE)
+    f.write_initial(2 * PAGE_SIZE + 10, b"file-contents")
+    return f
+
+
+def test_split_file_mapping_reads_its_own_file_pages(checked_system):
+    """``mlock`` on page 0 splits a private file mapping; the right part
+    must still read file page 2 at its page 1 (it read file page 1)."""
+    system = checked_system
+    f = _file_with_contents(system)
+    proc = system.create_process("p")
+
+    def body(t):
+        addr = yield from mmap_file(t, f, PROT_READ, shared=False)
+        yield from t.mlock(addr, PAGE_SIZE)
+        data = yield from t.read_bytes(addr + 2 * PAGE_SIZE + 10, 13)
+        return addr, bytes(data)
+
+    addr, data = drive(system, body, core=0, process=proc)
+    assert data == b"file-contents"
+    assert [(v.start - addr) // PAGE_SIZE for v in proc.addr_space.vmas] == [0, 1]
+    assert [v.pgoff for v in proc.addr_space.vmas] == [0, 1]
+
+
+def test_file_mapping_split_and_remerged_keeps_its_offsets(checked_system):
+    """``mprotect`` splits a file mapping into three parts, each at its
+    own file offset, and restoring the protection merges them back into
+    one area at offset 0 that reads every page from the right place."""
+    system = checked_system
+    f = _file_with_contents(system)
+    proc = system.create_process("p")
+    box = {}
+
+    def body(t):
+        addr = box["addr"] = yield from mmap_file(t, f, PROT_READ, shared=False)
+        yield from t.mprotect(addr + PAGE_SIZE, 2 * PAGE_SIZE, PROT_NONE)
+        box["split"] = [(v.pgoff, v.npages) for v in proc.addr_space.vmas]
+        yield from t.mprotect(addr + PAGE_SIZE, 2 * PAGE_SIZE, PROT_READ)
+        data = yield from t.read_bytes(addr + 2 * PAGE_SIZE + 10, 13)
+        return bytes(data)
+
+    assert drive(system, body, core=0, process=proc) == b"file-contents"
+    assert box["split"] == [(0, 1), (1, 2), (3, 1)]
+    assert [(v.pgoff, v.npages) for v in proc.addr_space.vmas] == [(0, 4)]

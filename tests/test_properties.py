@@ -9,13 +9,14 @@ payloads; interleaving must be exact.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Madvise, MemPolicy, PROT_NONE, PROT_READ, PROT_RW, System
-from repro.check import assert_invariants
+from repro.check import DiffHarness, assert_invariants, generate_ops
 from repro.kernel.frames import FrameAllocator
-from repro.kernel.pagetable import PageTable
+from repro.kernel.pagetable import PTE_COW, PTE_NEXTTOUCH, PTE_PRESENT, PTE_WRITE, PageTable
+from repro.kernel.vma import PROT_WRITE
 from repro.sim import BandwidthResource, Environment, Mutex
 from repro.util import PAGE_SIZE
 
@@ -299,3 +300,49 @@ def test_bandwidth_resource_conserves_work(sizes):
     # Total time is bounded by serial/parallel extremes.
     assert env.now >= max(sizes) / 100.0 - 1e-6
     assert env.now <= sum(sizes) / 100.0 + 1e-6
+
+
+# ----------------------------------------------------- differential screens --
+#: A step that changes nothing on either side: migrate_pages from a node
+#: to itself.
+_NEUTRAL_STEP = {"kind": "migrate_pages", "proc": "p0", "core": 0, "src": 0, "dst": 0}
+_FLAG_OF = {"P": PTE_PRESENT, "W": PTE_WRITE, "NT": PTE_NEXTTOUCH, "COW": PTE_COW}
+
+
+@_SETTINGS
+@given(
+    seed=st.integers(min_value=1235, max_value=1294),
+    field=st.sampled_from(["P", "W", "NT", "COW", "node", "refs", "prot", "shared", "numa_hit"]),
+    data=st.data(),
+)
+def test_a_corrupted_compared_field_fails_the_next_step(seed, field, data):
+    """The invariant screens and the packed-page diff together miss no
+    single corrupted field they compare: after one change to a fuzz
+    end state, a step that changes nothing must fail."""
+    harness = DiffHarness()
+    ops = generate_ops(seed, 20)
+    assert harness.run(ops) is None
+    kernel = harness.kernel
+    vmas = [vma for proc in kernel.processes for vma in proc.addr_space.vmas]
+    assume(vmas)
+    vma = data.draw(st.sampled_from(vmas))
+    page = data.draw(st.integers(min_value=0, max_value=vma.npages - 1))
+    if field in _FLAG_OF:
+        vma.pt.flags[page] ^= _FLAG_OF[field]
+    elif field == "node":
+        shift = data.draw(st.integers(min_value=1, max_value=kernel.machine.num_nodes))
+        vma.pt.node[page] = (int(vma.pt.node[page]) + 1 + shift) % (kernel.machine.num_nodes + 1) - 1
+    elif field == "refs":
+        frames = [int(f) for v in vmas for f in v.pt.frame if f >= 0]
+        assume(frames)
+        frame = data.draw(st.sampled_from(frames))
+        kernel.frame_refs[frame] = kernel.frame_refs.get(frame, 1) + data.draw(st.sampled_from([-1, 1]))
+    elif field == "prot":
+        vma.prot ^= data.draw(st.sampled_from([PROT_READ, PROT_WRITE]))
+    elif field == "shared":
+        vma.shared = not vma.shared
+    else:
+        node = data.draw(st.integers(min_value=0, max_value=kernel.machine.num_nodes - 1))
+        kernel.numastat.numa_hit[node] += data.draw(st.sampled_from([-1, 1]))
+    failure = harness.step(len(ops), _NEUTRAL_STEP)
+    assert failure is not None and failure.kind in ("invariant", "divergence"), field

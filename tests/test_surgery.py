@@ -110,6 +110,7 @@ def _distinct_vma():
         "anon_vma": object(),
         "huge": True,
         "file": object(),
+        "pgoff": 7,
         "mlocked": True,
     }
     # A new attribute must get a distinct value here to be covered.
@@ -129,7 +130,8 @@ def test_vma_split_carries_every_attribute():
     vma = _distinct_vma()
     left, right = vma.split(2)
     assert (left.start, right.start) == (vma.start, vma.start + 2 * PAGE_SIZE)
-    assert _dropped(left, vma) == [] and _dropped(right, vma) == []
+    assert _dropped(left, vma) == [] and _dropped(right, vma) == ["pgoff"]
+    assert right.pgoff == vma.pgoff + 2
 
 
 def test_vma_merge_carries_every_attribute_and_column():
