@@ -23,7 +23,8 @@ The invariant names are part of the documented contract
 the two stay in sync):
 
 * ``vma_layout`` — VMA lists sorted, non-overlapping, aligned, index
-  arrays in sync, swap columns sized right;
+  arrays in sync, no VMA empty, and the node, flags and swap columns
+  sized like the frame column;
 * ``pte_consistency`` — PTE flag algebra (PRESENT needs a frame, WRITE
   needs PRESENT, NEXTTOUCH excludes PRESENT), the node cache matches
   the frame's owning node, and no PTE points at a freed frame;
@@ -35,8 +36,10 @@ the two stay in sync):
 * ``cow_write_exclusion`` — no private mapping holds a hardware WRITE
   bit on a frame that is still shared, nor a COW flag on a page
   without a frame;
-* ``numastat_balance`` — ``numastat`` rows are non-negative and misses
-  on one node are matched by foreigns on another;
+* ``numastat_balance`` — ``numastat`` rows are non-negative, misses
+  on one node are matched by foreigns on another, and every first
+  touch is booked once (hits plus misses equal
+  ``pages_first_touched``);
 * ``ledger_consistency`` — ledger totals/counts agree, kernel event
   counters never go negative, and the per-reason migration counts sum
   to ``pages_migrated``;
@@ -131,6 +134,11 @@ def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
 
+def _sized(column: np.ndarray, n: int, fill: int) -> np.ndarray:
+    """``column``, or ``n`` entries of ``fill`` if it does not hold ``n``."""
+    return column if column.size == n else np.full(n, fill, dtype=column.dtype)
+
+
 class KernelView:
     """One read of every page table, shared by the checkers of a sweep.
 
@@ -155,11 +163,21 @@ class KernelView:
         self.sizes = sizes = [pt.frame.size for pt in pts]
         self.offsets = [0, *accumulate(sizes)]
         self.frame = frame = _cat([pt.frame for pt in pts], np.int64)
-        self.node = _cat([pt.node for pt in pts], np.int16)
-        self.flags = _cat([pt.flags for pt in pts], np.uint16)
-        # A mis-sized swap column (vma_layout reports it) reads as off swap.
-        swaps = [pt.swap if pt.swap.size == n else np.full(n, -1) for pt, n in zip(pts, sizes)]
-        self.swap = _cat(swaps, np.int64)
+        #: Segments whose ``node``, ``flags`` or swap column is sized
+        #: unlike ``frame``: vma_layout reports them, and the view reads
+        #: a placeholder column for them (no node, no flag, off swap).
+        self.missized = [
+            seg for seg, (pt, n) in enumerate(zip(pts, sizes))
+            if not pt.node.size == pt.flags.size == pt.swap.size == n
+        ]
+        node, flags, swap = [pt.node for pt in pts], [pt.flags for pt in pts], [pt.swap for pt in pts]
+        for seg in self.missized:
+            n = sizes[seg]
+            node[seg], flags[seg] = _sized(node[seg], n, -1), _sized(flags[seg], n, 0)
+            swap[seg] = _sized(swap[seg], n, -1)
+        self.node = _cat(node, np.int16)
+        self.flags = _cat(flags, np.uint16)
+        self.swap = _cat(swap, np.int64)
         #: Pages with a frame attached.
         self.populated = populated = frame >= 0
         #: Each page's PRESENT, WRITE, NEXTTOUCH and COW bits plus
@@ -298,9 +316,14 @@ def vma_layout(view: KernelView) -> list[str]:
             if start % PAGE_SIZE:
                 problems.append(f"{proc.name}: misaligned VMA start 0x{start:x}")
             if n < 1:
-                problems.append(f"{proc.name}: page table size mismatch in {vma!r}")
-            if vma.pt.swap.size != n:
-                problems.append(f"{proc.name}: swap column size mismatch in {vma!r}")
+                problems.append(f"{proc.name}: empty VMA {vma!r}")
+    for seg in view.missized:
+        (proc, vma), n = view.segments[seg], view.sizes[seg]
+        problems += [
+            f"{proc.name}: {column} column size mismatch in {vma!r}"
+            for column in ("node", "flags", "swap")
+            if getattr(vma.pt, column).size != n
+        ]
     return problems
 
 
@@ -430,7 +453,8 @@ def cow_write_exclusion(view: KernelView) -> list[str]:
 
 @_invariant
 def numastat_balance(view: KernelView) -> list[str]:
-    """``numastat`` rows non-negative; misses balance foreigns."""
+    """``numastat`` rows non-negative; misses balance foreigns; hits
+    plus misses count every first-touched page."""
     stat = view.kernel.numastat
     problems = [
         f"numastat row {row} went negative: {values}"
@@ -447,6 +471,12 @@ def numastat_balance(view: KernelView) -> list[str]:
         for node, (il, hit) in enumerate(zip(stat.interleave_hit, stat.numa_hit))
         if il > hit
     ]
+    booked = sum(stat.numa_hit) + sum(stat.numa_miss)
+    touched = view.kernel.stats.pages_first_touched
+    if booked != touched:
+        problems.append(
+            f"numastat books {booked} first touch(es) but pages_first_touched={touched}"
+        )
     return problems
 
 

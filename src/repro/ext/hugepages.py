@@ -74,7 +74,8 @@ def huge_fault_in(thread: SimThread, addr: int, nbytes: int, node: int | None = 
     """Populate huge units covering the range (one fault per 2 MiB).
 
     Each unit's 512 base frames come from one node (``node`` or the
-    faulting thread's). Returns the number of huge faults taken.
+    faulting thread's), booked in ``numastat`` as hits there. Returns
+    the number of huge faults taken.
     """
     kernel: Kernel = thread.kernel
     vma = thread.process.addr_space.find_vma(addr)
@@ -93,6 +94,7 @@ def huge_fault_in(thread: SimThread, addr: int, nbytes: int, node: int | None = 
         vma.pt.map_pages(
             slice(lo, hi), frames, np.full(hi - lo, target, dtype=np.int16), vma.allows(True)
         )
+        kernel.book_first_touch(None, target, target, hi - lo)
         kernel.stats.minor_faults += 1
         kernel.stats.pages_first_touched += hi - lo
         yield kernel.charge("huge.fault", kernel.cost.huge_fault_us)

@@ -235,13 +235,12 @@ class AddressSpace:
         self._merge_around(affected)
         return changed
 
-    def apply_policy(self, addr: int, nbytes: int, policy: Optional[MemPolicy]) -> list[Vma]:
-        """``mbind`` state change; returns the affected VMAs."""
+    def apply_policy(self, addr: int, nbytes: int, policy: Optional[MemPolicy]) -> None:
+        """``mbind`` state change (the VMAs it splits may merge back)."""
         affected = self._isolate(addr, nbytes)
         for vma in affected:
             vma.policy = policy
         self._merge_around(affected)
-        return affected
 
     def range_segments(self, addr: int, nbytes: int) -> Iterator[tuple[Vma, int, int]]:
         """Yield ``(vma, first_page, last_page_exclusive)`` covering the

@@ -29,7 +29,7 @@ from ..util.units import PAGE_SIZE
 from .accounting import Ledger
 from .addrspace import AddressSpace
 from .frames import FrameAllocator, node_of_frame
-from .mempolicy import MemPolicy, candidate_nodes
+from .mempolicy import MemPolicy, PolicyKind, candidate_nodes
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sched.cpuset import CpuSet
@@ -206,37 +206,78 @@ class Kernel:
         """Allocate ``count`` frames strictly on ``node``."""
         return self.allocators[node].alloc_many(count)
 
-    def alloc_policy(
-        self,
-        policy: MemPolicy,
-        vpn: int,
-        local_node: int,
-        count: int = 1,
-        allowed: Optional[tuple[int, ...]] = None,
-    ) -> tuple[np.ndarray, int]:
-        """Allocate frames following a policy; returns (frames, node).
+    # ------------------------------------------------------------ placement --
+    def _candidate_table(self, process: "SimProcess", vma, local_node: int):
+        """``(policy, table, strict)``: :func:`candidate_nodes` per interleave
+        offset (one list for other policies) narrowed to the cpuset's ``mems``."""
+        policy = process.policy_for(vma)
+        table = []
+        for vpn in range(len(policy.nodes) if policy.kind is PolicyKind.INTERLEAVE else 1):
+            nodes, strict = candidate_nodes(policy, vpn, local_node, self.machine.num_nodes)
+            if process.allowed_mems is not None:
+                nodes = [n for n in nodes if n in process.allowed_mems]
+                if not nodes:
+                    raise OutOfMemory("memory policy incompatible with cpuset mems")
+            table.append(nodes)
+        return policy, table, strict
 
-        All frames come from a single node (callers batch per target
-        node). ``allowed`` is the cpuset ``mems`` confinement. Falls
-        through the candidate list on pressure; raises
-        :class:`OutOfMemory` when a strict policy (or the cpuset)
-        cannot be satisfied.
+    def first_touch(self, process: "SimProcess", vma, idxs, local_node: int):
+        """Where first touch puts pages ``idxs`` of ``vma``, the one rule
+        every demand-zero path asks: ``(intended, targets)``, ints for an
+        ``int`` page, else arrays like the ascending ``idxs``.
+
+        A page's candidates are those of its offset in the mapping,
+        ``vma.pgoff + idx`` (Linux's ``interleave_nid()`` offset); the
+        first is its intended node. It lands on the first with a frame
+        left after the pages before it, as back-to-back single-page
+        faults would. Commits nothing (the caller allocates and calls
+        :meth:`book_first_touch`); raises :class:`OutOfMemory` when a
+        page has no candidate with a frame.
         """
-        nodes, strict = candidate_nodes(policy, vpn, local_node, self.machine.num_nodes)
-        if allowed is not None:
-            nodes = [n for n in nodes if n in allowed]
-            if not nodes:
-                raise OutOfMemory("memory policy incompatible with cpuset mems")
-        from .mempolicy import PolicyKind
-
-        interleaved = policy.kind is PolicyKind.INTERLEAVE
-        for node in nodes:
-            if self.allocators[node].free >= count:
-                self.numastat.record(nodes[0], node, count, interleaved)
-                return self.allocators[node].alloc_many(count), node
+        policy, table, strict = self._candidate_table(process, vma, local_node)
+        if isinstance(idxs, int):
+            nodes = table[(vma.pgoff + idxs) % len(table)]
+            for node in nodes:
+                if self.allocators[node].free:
+                    return nodes[0], node
+        else:
+            residue = (vma.pgoff + idxs) % len(table)
+            heads = np.array([nodes[0] for nodes in table])
+            free = [a.free for a in self.allocators]
+            # Unless a node runs out, each offset's first candidate with a frame seats them all.
+            firsts = [next((n for n in nodes if free[n]), -1) for nodes in table]
+            targets = np.array(firsts)[residue]
+            if min(firsts) >= 0 and (np.bincount(targets, minlength=len(free)) <= free).all():
+                return heads[residue], targets
+            for i, r in enumerate(residue.tolist()):
+                targets[i] = node = next((n for n in table[r] if free[n]), -1)
+                if node < 0:
+                    break
+                free[node] -= 1
+            else:
+                return heads[residue], targets
         if strict:
             raise OutOfMemory(f"policy {policy.kind.value} nodes {policy.nodes} exhausted")
         raise OutOfMemory("all nodes out of frames")
+
+    def intended_nodes(self, process: "SimProcess", vma, idxs: np.ndarray, local_node: int):
+        """:meth:`first_touch`'s intended node of each page, free frames
+        or not: where ``mbind(MPOL_MF_MOVE)`` puts it."""
+        _policy, table, _strict = self._candidate_table(process, vma, local_node)
+        return np.array([nodes[0] for nodes in table])[(vma.pgoff + idxs) % len(table)]
+
+    def book_first_touch(self, policy: Optional[MemPolicy], intended, got, count: int = 1):
+        """Book committed first touches, ints for ``count`` pages or
+        :meth:`first_touch`'s arrays, in ``numastat`` (the only caller
+        of :meth:`NumaStats.record`; interleave hits under INTERLEAVE)."""
+        interleaved = policy is not None and policy.kind is PolicyKind.INTERLEAVE
+        groups = [(intended, got, count)]
+        if isinstance(got, np.ndarray):
+            n = self.machine.num_nodes
+            pairs = np.bincount(intended * n + got, minlength=n * n)
+            groups = [(*divmod(p, n), int(pairs[p])) for p in np.flatnonzero(pairs).tolist()]
+        for want, node, pages in groups:
+            self.numastat.record(want, node, pages, interleaved)
 
     def release_frames(self, frames: np.ndarray) -> None:
         """Drop one reference per frame; free those reaching zero."""

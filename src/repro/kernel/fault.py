@@ -25,11 +25,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import SegmentationFault
+from ..errors import OutOfMemory, SegmentationFault
 from ..obs import tracepoints
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import SIGSEGV, Kernel
-from .mempolicy import PolicyKind, candidate_nodes, interleave_nodes
+from .mempolicy import PolicyKind
 from .pagetable import PTE_COW, PTE_NEXTTOUCH
 from .vma import Vma
 
@@ -168,9 +168,9 @@ def _demand_zero(kernel: Kernel, thread: "SimThread", vma: Vma, idx: int, write:
         if vma.pt.frame[idx] >= 0:  # raced with another faulter
             return
         yield kernel.charge("fault.anon", kernel.cost.anon_fault_us)
-        policy = process.policy_for(vma)
-        local = kernel.machine.node_of_core(thread.core)
-        frames, node = kernel.alloc_policy(policy, idx, local, allowed=process.allowed_mems)
+        intended, node = kernel.first_touch(process, vma, idx, thread.node)
+        frames = kernel.alloc_on(node, 1)
+        kernel.book_first_touch(process.policy_for(vma), intended, node)
         lru = kernel.lru_locks[node]
         yield lru.acquire()
         try:
@@ -214,10 +214,10 @@ def demand_zero_run(
     over the page-order terms (:func:`_fold_chains`). An attached
     ledger sink still gets each charge at its per-page instant.
 
-    Only runs whose every page lands on one node replay: an
-    interleaved range declines (no workload first-touches one at
-    ``batch=1``), and so does any run the shared storm gate
-    (:func:`_storm_declines`) refuses.
+    It replays only a run that :meth:`~repro.kernel.core.Kernel.first_touch`
+    seats on one node, asked once the shared storm gate
+    (:func:`_storm_declines`) passes; an interleaved range declines
+    first, in O(1) (no workload first-touches one at ``batch=1``).
 
     All-or-nothing: returns ``(pages_advanced, event)``, or ``None`` to
     bail (caller falls back to :func:`handle_fault`). ``pages_advanced``
@@ -231,19 +231,13 @@ def demand_zero_run(
     policy = process.policy_for(vma)
     if policy.kind is PolicyKind.INTERLEAVE:
         return None
-    machine = kernel.machine
-    local = machine.node_of_core(thread.core)
-    allowed = process.allowed_mems
-    allocators = kernel.allocators
-    # --- allocation pre-check: every page must land exactly where the
-    # per-page first-fit would put it, with zero OutOfMemory spill.
-    nodes, _strict = candidate_nodes(policy, idx, local, machine.num_nodes)
-    if allowed is not None:
-        nodes = [n for n in nodes if n in allowed]
-        if not nodes:
-            return None
-    target = next((n for n in nodes if allocators[n].free >= 1), -1)
-    if target < 0 or allocators[target].free < run:
+    # --- placement: every page shares the first one's candidates, so
+    # the run stays on its node iff that node has a frame for each.
+    try:
+        intended, target = kernel.first_touch(process, vma, idx, thread.node)
+    except OutOfMemory:
+        return None
+    if kernel.allocators[target].free < run:
         return None
     # --- lock pre-check: the per-pmd PTLs covering the run and the
     # target's LRU lock must be free with no parked waiters
@@ -252,14 +246,14 @@ def demand_zero_run(
     if ptl_locks is None:
         return None
     lru = kernel.lru_locks[target]
-    if lru._available <= 0 or lru._waiters:
+    if not lru.can_acquire():
         return None
     # --- commit: allocate, map and account everything in bulk.
     cost = kernel.cost
     env = kernel.env
     led = kernel.ledger
-    frames = allocators[target].alloc_seq(run)
-    kernel.numastat.record(nodes[0], target, run, False)
+    frames = kernel.allocators[target].alloc_seq(run)
+    kernel.book_first_touch(policy, intended, target, run)
     vma.pt.map_pages(
         slice(idx, idx + run), frames, np.full(run, target, dtype=np.int16), vma.allows(True)
     )
@@ -283,7 +277,7 @@ def demand_zero_run(
     # unchanged.
     acc = 0.0
     if last and bytes_per_page > 0:
-        acc = _access_cost_us_single(kernel, local, target, bytes_per_page)
+        acc = _access_cost_us_single(kernel, thread.node, target, bytes_per_page)
     n_acc = last if acc > 0 else 0
     t_start = env.now
     clock = np.empty(4 * run + 1)
@@ -354,8 +348,7 @@ def _storm_declines(kernel: Kernel, thread: "SimThread", run: int, tag: str) -> 
         return True
     if kernel.access_profiler is not None:
         return True
-    sem = thread.process.mmap_sem
-    return bool(sem._writer or sem._wait_writers)
+    return not thread.process.mmap_sem.can_acquire_read()
 
 
 def _pmd_locks(process, vma: Vma, idx: int, run: int):
@@ -367,7 +360,7 @@ def _pmd_locks(process, vma: Vma, idx: int, run: int):
     for key in range(key0, ((q0 + run - 1) >> 9) + 1):
         page = idx if key == key0 else (key << 9) - (vma.start >> PAGE_SHIFT)
         lock = process.ptl(vma.start, page)
-        if lock._available <= 0 or lock._waiters:
+        if not lock.can_acquire():
             return None
         locks.append(lock)
     return locks
@@ -417,9 +410,12 @@ def demand_zero_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nd
     """First-touch a batch of unpopulated pages of one VMA.
 
     Equivalent to ``len(idxs)`` back-to-back demand-zero faults by one
-    thread (same per-page costs, one lock round-trip) — the fast path
-    large workloads use to initialize gigabyte matrices without a
-    Python-level loop per page.
+    thread (same per-page costs and placement, one lock round-trip) —
+    the fast path large workloads use to initialize gigabyte matrices
+    without a Python-level loop per page. Every page is seated by
+    :meth:`~repro.kernel.core.Kernel.first_touch` before any is
+    committed, so a page it cannot seat raises :class:`OutOfMemory`
+    with nothing allocated.
     """
     process = thread.process
     cost = kernel.cost
@@ -427,38 +423,17 @@ def demand_zero_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nd
     yield ptl.acquire()
     try:
         # Atomic: filter + allocate + map in one step (see nt_fault_batch).
-        still = vma.pt.frame[idxs] < 0
-        idxs = idxs[still]
+        idxs = idxs[vma.pt.frame[idxs] < 0]
         if idxs.size == 0:
             return
         k = int(idxs.size)
-        policy = process.policy_for(vma)
-        local = kernel.machine.node_of_core(thread.core)
-        allowed = process.allowed_mems
-        if policy.kind is PolicyKind.INTERLEAVE:
-            targets = interleave_nodes(policy, idxs)
-            if allowed is not None:
-                # cpuset confinement: clamp disallowed targets to the set.
-                table = np.asarray(allowed, dtype=np.int16)
-                bad = ~np.isin(targets, table)
-                targets = targets.copy()
-                targets[bad] = table[idxs[bad] % table.size]
-        else:
-            nodes, _strict = candidate_nodes(policy, int(idxs[0]), local, kernel.machine.num_nodes)
-            if allowed is not None:
-                nodes = [n for n in nodes if n in allowed]
-                if not nodes:
-                    from ..errors import OutOfMemory
-
-                    raise OutOfMemory("memory policy incompatible with cpuset mems")
-            targets = np.full(k, nodes[0], dtype=np.int16)
+        intended, targets = kernel.first_touch(process, vma, idxs, thread.node)
+        kernel.book_first_touch(process.policy_for(vma), intended, targets)
         writable = vma.allows(True)
-        interleaved = policy.kind is PolicyKind.INTERLEAVE
         for node in np.unique(targets):
             sel = targets == node
             count = int(np.count_nonzero(sel))
             frames = kernel.alloc_on(int(node), count)
-            kernel.numastat.record(int(node), int(node), count, interleaved)
             vma.pt.map_pages(idxs[sel], frames, np.full(count, node, dtype=np.int16), writable)
             if tracepoints.active(kernel):
                 tracepoints.emit(

@@ -20,11 +20,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import Errno, SyscallError
 
-__all__ = ["PolicyKind", "MemPolicy", "candidate_nodes", "interleave_nodes"]
+__all__ = ["PolicyKind", "MemPolicy", "candidate_nodes"]
 
 
 class PolicyKind(enum.Enum):
@@ -84,8 +82,8 @@ def candidate_nodes(
 
     Returns ``(nodes, strict)``; with ``strict`` the fault must fail
     with ``ENOMEM`` rather than spill outside the list (BIND).
-    ``vpn`` is the page's offset within its VMA, which is what Linux
-    interleaves on.
+    ``vpn`` is the page's offset in its mapping (``vma.pgoff + idx``),
+    which is what Linux interleaves on.
     """
     if policy.kind is PolicyKind.DEFAULT:
         order = [local_node] + [n for n in range(num_nodes) if n != local_node]
@@ -99,11 +97,3 @@ def candidate_nodes(
     chosen = policy.nodes[vpn % len(policy.nodes)]
     rest = [n for n in policy.nodes if n != chosen]
     return [chosen] + rest, True
-
-
-def interleave_nodes(policy: MemPolicy, vpns: np.ndarray) -> np.ndarray:
-    """Vectorized interleave target for a batch of page offsets."""
-    if policy.kind is not PolicyKind.INTERLEAVE:
-        raise ValueError("interleave_nodes needs an INTERLEAVE policy")
-    table = np.asarray(policy.nodes, dtype=np.int16)
-    return table[np.asarray(vpns) % len(table)]

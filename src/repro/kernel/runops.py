@@ -98,7 +98,7 @@ def replay_transfer(
     rounding (``fl(fl(t + d) - t)`` is *not* ``d``), so the returned
     completion time and the channel's byte counters are bit-identical
     to the event-driven path.  Callers must hold the turbo gate and
-    guarantee ``channel._active`` is empty.
+    guarantee the channel has no active transfer.
     """
     total = float(nbytes)
     if total == 0:
@@ -190,21 +190,19 @@ def migrate_run(
         return None
     process = thread.process
     anon_vma = vma.anon_vma
-    if anon_vma is not None and (anon_vma._available <= 0 or anon_vma._waiters):
+    if anon_vma is not None and not anon_vma.can_acquire():
         return None
     pt = vma.pt
     all_src = pt.node[idxs]
     srcs = np.flatnonzero(np.bincount(all_src, minlength=kernel.machine.num_nodes))
     lru_locks = kernel.lru_locks
-    for node in (dest_node, *srcs.tolist()):
-        lru = lru_locks[node]
-        if lru._available <= 0 or lru._waiters:
-            return None
+    if not all(lru_locks[node].can_acquire() for node in (dest_node, *srcs.tolist())):
+        return None
     size = int(idxs.size)
     if kernel.allocators[dest_node].free < size:
         return None
     channel = kernel.migration_channel(process)
-    if channel._active:
+    if channel.active_transfers:
         return None
     cost = kernel.cost
     env = kernel.env
@@ -522,7 +520,7 @@ def nt_fault_run(
     if ptl_locks is None:
         return None
     channel = kernel.migration_channel(process)  # a new one is idle
-    if channel._active:
+    if channel.active_transfers:
         return None
     # --- bulk commit: alloc_seq hands out the ids of the per-page
     # alloc_many(1) pops (old frames all go back to other nodes), and
@@ -595,7 +593,7 @@ def cow_break_run(
         # The per-page path routes a remote copy through the process
         # migration channel (creating it lazily).
         channel = kernel.migration_channel(process)
-        if channel._active:
+        if channel.active_transfers:
             return None
     ptl_locks = _pmd_locks(process, vma, idx, run)
     if ptl_locks is None:
@@ -665,7 +663,7 @@ def swap_in_run(
         return None
     device = kernel.swap
     channel = device.channel
-    if channel._active:
+    if channel.active_transfers:
         return None
     dest = kernel.machine.node_of_core(thread.core)
     if kernel.allocators[dest].free < run:

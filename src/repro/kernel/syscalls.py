@@ -24,7 +24,7 @@ from ..errors import Errno, SyscallError
 from ..obs import tracepoints
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel, SimProcess
-from .mempolicy import MemPolicy
+from .mempolicy import MemPolicy, PolicyKind
 from .migrate import migrate_vma_pages
 from .runops import charge_stages
 
@@ -378,18 +378,15 @@ def sys_mbind(
 ):
     """Set the memory policy of an address range.
 
-    ``move=True`` is ``MPOL_MF_MOVE``: pages already populated in
-    violation of the new policy are migrated to conform (only BIND,
-    PREFERRED and INTERLEAVE define a conforming placement). Returns
-    the number of pages moved.
+    ``move=True`` is ``MPOL_MF_MOVE``: populated pages off the node a
+    first touch would now intend for them (:meth:`Kernel.intended_nodes`;
+    DEFAULT defines none) migrate there. Returns the pages moved.
     """
-    from .mempolicy import PolicyKind, interleave_nodes
-
     process = thread.process
     yield kernel.charge("syscall.mbind", kernel.cost.mempolicy_base_us)
     yield process.mmap_sem.acquire_write()
     try:
-        affected = process.addr_space.apply_policy(addr, nbytes, policy)
+        process.addr_space.apply_policy(addr, nbytes, policy)
     finally:
         process.mmap_sem.release_write()
     if not move or policy.kind is PolicyKind.DEFAULT:
@@ -397,14 +394,12 @@ def sys_mbind(
     moved = 0
     yield process.mmap_sem.acquire_read()
     try:
-        for vma in affected:
-            populated = np.nonzero(vma.pt.frame >= 0)[0].astype(np.int64)
+        # The range's VMAs now: apply_policy may have re-merged them.
+        for vma, first, stop in process.addr_space.range_segments(addr, nbytes):
+            populated = first + np.flatnonzero(vma.pt.frame[first:stop] >= 0)
             if populated.size == 0:
                 continue
-            if policy.kind is PolicyKind.INTERLEAVE:
-                targets = interleave_nodes(policy, populated)
-            else:
-                targets = np.full(populated.size, policy.nodes[0], dtype=np.int16)
+            targets = kernel.intended_nodes(process, vma, populated, thread.node)
             mismatched = vma.pt.node[populated] != targets
             for dest in np.unique(targets[mismatched]):
                 sel = mismatched & (targets == dest)

@@ -76,6 +76,11 @@ class Semaphore:
         """Number of units currently free."""
         return self._available
 
+    def can_acquire(self) -> bool:
+        """Whether :meth:`acquire` would grant a unit at once: one is
+        free and nobody is queued (the test it makes)."""
+        return self._available > 0 and not self._waiters
+
     def acquire(self) -> Event:
         """Request one unit; yield the returned event to wait for it."""
         ev = Event(self.env)
@@ -219,6 +224,11 @@ class RwLock:
     def readers(self) -> int:
         """Number of readers currently inside."""
         return self._readers
+
+    def can_acquire_read(self) -> bool:
+        """Whether :meth:`acquire_read` would grant at once: no writer
+        holds or waits for the lock (the test it makes)."""
+        return not self._writer and not self._wait_writers
 
     def acquire_read(self) -> Event:
         """Shared acquisition; yield the event to wait."""

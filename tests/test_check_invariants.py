@@ -13,7 +13,7 @@ from repro.check import (
     check_system,
 )
 from repro.kernel.frames import NODE_STRIDE_SHIFT, node_of_frame
-from repro.kernel.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
+from repro.kernel.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE, PageTable
 from repro.kernel.vma import PROT_READ, PROT_RW
 from repro.util.units import PAGE_SIZE
 
@@ -252,3 +252,43 @@ def test_pte_consistency_detects_populated_page_on_swap(system):
     vma.pt.set_swap(0, 0)
     found = fired(system.kernel, "pte_consistency")
     assert "page both populated and on swap" in {v.message.split(": ", 1)[1] for v in found}
+
+
+def test_numastat_balance_detects_unbooked_first_touch(system):
+    """Every first-touched page is booked in numastat exactly once."""
+    populated_system(system)
+    system.kernel.stats.pages_first_touched += 1  # a page numastat never saw
+    assert [v.message for v in fired(system.kernel, "numastat_balance")] == [
+        "numastat books 8 first touch(es) but pages_first_touched=9"
+    ]
+
+
+def two_vma_system(system):
+    """A process with two touched 8-page mappings."""
+
+    def body(t):
+        for name in ("a", "b"):
+            addr = yield from t.mmap(8 * PAGE_SIZE, PROT_RW, name=name)
+            yield from t.touch(addr, 8 * PAGE_SIZE, bytes_per_page=0.0)
+
+    drive(system, body)
+    return system.kernel.processes[0].addr_space.vmas
+
+
+@pytest.mark.parametrize("column", ["node", "flags"])
+def test_vma_layout_reports_mis_sized_column_instead_of_raising(system, column):
+    """A ``node`` or ``flags`` column shorter than ``frame`` is a
+    ``vma_layout`` violation; the sweep reads it as a placeholder."""
+    vma = two_vma_system(system)[0]
+    setattr(vma.pt, column, getattr(vma.pt, column)[:6].copy())
+    violations = check_kernel(system.kernel)
+    layout = [v.message for v in violations if v.invariant == "vma_layout"]
+    assert layout == [f"test: {column} column size mismatch in {vma!r}"]
+
+
+def test_vma_layout_names_an_empty_vma(system):
+    vma = two_vma_system(system)[1]
+    vma.pt = PageTable._of(*(getattr(vma.pt, c)[:0] for c in ("frame", "node", "flags", "swap")))
+    assert [v.message for v in fired(system.kernel, "vma_layout")] == [
+        f"test: empty VMA {vma!r}"
+    ]

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import PROT_READ, PROT_RW, Machine, System
 from repro.errors import SyscallError
-from repro.kernel.mempolicy import (
-    MemPolicy,
-    PolicyKind,
-    candidate_nodes,
-    interleave_nodes,
-)
+from repro.kernel.mempolicy import MemPolicy, PolicyKind, candidate_nodes
+from repro.util import PAGE_SIZE
 
 
 def test_default_prefers_local():
@@ -43,17 +40,21 @@ def test_interleave_subset():
     assert firsts == [1, 3, 1, 3]
 
 
-def test_interleave_vectorized_matches_scalar():
+def test_intended_nodes_match_per_page_candidates():
+    """The vectorized intended node of each page is the first of its
+    per-page candidates at its offset in the mapping (``pgoff + idx``)."""
     pol = MemPolicy.interleave(0, 2, 3)
-    vpns = np.arange(20)
-    vec = interleave_nodes(pol, vpns)
-    scalar = [candidate_nodes(pol, int(v), 0, 4)[0][0] for v in vpns]
-    assert list(vec) == scalar
-
-
-def test_interleave_nodes_requires_interleave():
-    with pytest.raises(ValueError):
-        interleave_nodes(MemPolicy.default(), np.arange(3))
+    system = System(Machine.symmetric(4, 2))
+    process = system.create_process("p")
+    vma = process.addr_space.mmap(24 * PAGE_SIZE, PROT_RW, policy=pol)
+    process.addr_space.apply_protection(vma.start, 5 * PAGE_SIZE, PROT_READ)
+    right = process.addr_space.find_vma(vma.start + 5 * PAGE_SIZE)
+    assert right.pgoff == 5
+    idxs = np.arange(right.npages)
+    vec = system.kernel.intended_nodes(process, right, idxs, 0)
+    scalar = [candidate_nodes(pol, right.pgoff + int(i), 0, 4)[0][0] for i in idxs]
+    assert vec.tolist() == scalar
+    assert scalar[:3] == [3, 0, 2]  # offsets 5, 6, 7
 
 
 def test_policy_validation():

@@ -6,7 +6,9 @@ ignore[attr-defined]``) and probes for it elsewhere with
 ``getattr(obj, "_x", None)`` spreads one object's layout over every
 reader, each with its own "not there yet" branch. Surgery code that
 copies objects field by field then cannot see that state and drops it.
-This test walks ``src/repro`` and fails on either form.
+This test walks ``src/repro`` and fails on either form. The same holds
+the other way round: the kernel asks a lock or channel whether it is
+free instead of reading the fields its ``acquire`` tests.
 """
 
 import ast
@@ -69,4 +71,44 @@ def test_src_declares_its_state():
         rel = path.relative_to(SRC.parent)
         problems += [f"{rel}:{line}: probe of {attr!r}" for line, attr in private_probes(source)]
         problems += [f"{rel}:{line}: attr-defined ignore" for line in attr_defined_ignores(source)]
+    assert problems == []
+
+
+#: Lock and channel internals: ``Semaphore`` (``_available``,
+#: ``_waiters``), ``RwLock`` (``_writer``, ``_wait_writers``) and
+#: ``BandwidthResource`` (``_active``). Their owners answer for them:
+#: ``can_acquire()``, ``can_acquire_read()``, ``active_transfers``.
+_LOCK_INTERNALS = {"_available", "_waiters", "_writer", "_wait_writers", "_active"}
+
+
+def internal_reads(source: str) -> list[tuple[int, int, str]]:
+    """``(line, column, attribute)`` of every access to a lock or channel
+    internal (``obj._waiters``, ``obj._active``, ...)."""
+    return sorted(
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in _LOCK_INTERNALS
+    )
+
+
+def test_internal_read_detector():
+    source = (
+        "if lock._available <= 0 or lock._waiters:\n"
+        "    pass\n"
+        "busy = sem._writer or sem._wait_writers or channel._active\n"
+        "ok = lock.can_acquire() and not channel.active_transfers\n"
+        "channel._wake_generation += 1\n"
+    )
+    assert [(line, attr) for line, _col, attr in internal_reads(source)] == [
+        (1, "_available"), (1, "_waiters"), (3, "_writer"), (3, "_wait_writers"), (3, "_active"),
+    ]
+
+
+def test_kernel_asks_locks_and_channels_instead_of_reading_them():
+    problems = []
+    for path in sorted((SRC / "kernel").glob("*.py")):
+        rel = path.relative_to(SRC.parent)
+        problems += [
+            f"{rel}:{line}: reads {attr}" for line, _col, attr in internal_reads(path.read_text())
+        ]
     assert problems == []

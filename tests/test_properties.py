@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro import Madvise, MemPolicy, PROT_NONE, PROT_READ, PROT_RW, System
+from repro import Machine, Madvise, MemPolicy, PROT_NONE, PROT_READ, PROT_RW, System
 from repro.check import DiffHarness, assert_invariants, generate_ops
+from repro.errors import OutOfMemory
 from repro.kernel.frames import FrameAllocator
 from repro.kernel.pagetable import PTE_COW, PTE_NEXTTOUCH, PTE_PRESENT, PTE_WRITE, PageTable
 from repro.kernel.vma import PROT_WRITE
@@ -346,3 +347,71 @@ def test_a_corrupted_compared_field_fails_the_next_step(seed, field, data):
         kernel.numastat.numa_hit[node] += data.draw(st.sampled_from([-1, 1]))
     failure = harness.step(len(ops), _NEUTRAL_STEP)
     assert failure is not None and failure.kind in ("invariant", "divergence"), field
+
+
+# -------------------------------------------------------- first touch ----
+_NODE_SETS = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3, unique=True)
+_POLICIES = st.one_of(
+    st.just(MemPolicy.default()),
+    st.integers(min_value=0, max_value=2).map(MemPolicy.preferred),
+    _NODE_SETS.map(lambda nodes: MemPolicy.bind(*nodes)),
+    _NODE_SETS.map(lambda nodes: MemPolicy.interleave(*nodes)),
+)
+
+
+def _first_touch_run(policy, allowed, prefill, split, npages, core, batch):
+    """Fill each node of a 3 x 16-frame machine with ``prefill[n]``
+    pages, then read-touch ``npages`` under ``policy`` and ``mems``
+    ``allowed`` (after splitting off the first ``split`` pages) at
+    ``batch``. Returns what the run placed and booked, after checking
+    every invariant."""
+    system = System(Machine.symmetric(3, 2, mem_per_node=16 * PAGE_SIZE))
+
+    def filler(t):
+        for node, pages in enumerate(prefill):
+            if pages:
+                addr = yield from t.mmap(pages * PAGE_SIZE, PROT_RW, policy=MemPolicy.bind(node))
+                yield from t.touch(addr, pages * PAGE_SIZE)
+
+    system.run_to(system.spawn(system.create_process("filler"), 0, filler).join())
+
+    def body(t):
+        addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW, policy=policy)
+        if split:
+            yield from t.mprotect(addr, split * PAGE_SIZE, PROT_READ)
+        yield from t.touch(addr, npages * PAGE_SIZE, write=False, batch=batch)
+
+    process = system.create_process("toucher")
+    process.allowed_mems = allowed
+    failed = False
+    try:
+        system.run_to(system.spawn(process, core, body).join())
+    except OutOfMemory:
+        failed = True
+    assert_invariants(system.kernel)
+    nodes = [n for vma in process.addr_space.vmas for n in vma.pt.node.tolist()]
+    used = [a.used for a in system.kernel.allocators]
+    return failed, nodes, system.kernel.numastat.as_table(), used
+
+
+@_SETTINGS
+@given(
+    policy=_POLICIES,
+    allowed=st.one_of(st.none(), _NODE_SETS.map(lambda nodes: tuple(sorted(nodes)))),
+    prefill=st.lists(st.integers(min_value=0, max_value=16), min_size=3, max_size=3),
+    split=st.integers(min_value=0, max_value=5),
+    npages=st.integers(min_value=6, max_value=40),
+    core=st.sampled_from([0, 2, 4]),
+)
+def test_first_touch_batches_place_like_per_page_faults(
+    policy, allowed, prefill, split, npages, core
+):
+    """Batches of 8 and 512 pages place, book and fail exactly where
+    back-to-back per-page faults do."""
+    runs = [
+        _first_touch_run(policy, allowed, prefill, split, npages, core, batch)
+        for batch in (1, 8, 512)
+    ]
+    assert [failed for failed, *_ in runs] == [runs[0][0]] * 3
+    if not runs[0][0]:
+        assert runs[1][1:] == runs[0][1:] and runs[2][1:] == runs[0][1:]
